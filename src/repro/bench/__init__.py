@@ -1,12 +1,11 @@
 """Performance benchmarks for the event-core hot path.
 
-``repro bench`` measures the scheduling fast path against the legacy
-Event-per-callback path on four scenarios — two synthetic kernel
-microbenchmarks and the two paper figures whose rigs stress the network
-hot path — and records the results in ``BENCH_sim_core.json`` at the
-repository root.  The same scenario builders back the equivalence tests
-(`tests/test_fastpath_equivalence.py`), which prove the two paths produce
-bit-identical experiment digests.
+``repro bench`` times two synthetic kernel microbenchmarks, a saturated
+Dummynet pipe and the paper's figure rigs, gates every figure digest on
+its stored golden (``benchmarks/results/*_digests.json``), and records the
+results in ``BENCH_sim_core.json`` at the repository root.  The same
+scenario builders back the equivalence tests
+(`tests/test_fastpath_equivalence.py`, `tests/test_pipeline_equivalence.py`).
 """
 
 from repro.bench.scenarios import (build_fig6_rig, build_fig7_rig,

@@ -1,13 +1,14 @@
-"""The ``repro bench`` runner: fast path vs legacy path, timed.
+"""The ``repro bench`` runner: timed scenarios gated on stored goldens.
 
-Each scenario is executed twice — once with the optimized scheduler
-(``fast_path=True, packet_trains=True, batch_pipes=True``) and once with
-the legacy Event-per-callback path (all three off) — and the wall-clock
-ratio is recorded.  The figure scenarios also record their experiment
-digests in both modes, so the JSON doubles as an equivalence artifact:
-``digest_match`` must be ``true``.  ``mode_matrix_ckpt10`` goes further
-and runs the full 2x2x2 ``fast_path`` x ``packet_trains`` x
-``batch_pipes`` matrix against the pipeline golden.
+Every figure scenario runs at fixed parameters and must reproduce its
+stored golden digest: ``benchmarks/results/PIPELINE_digests.json`` pins
+fig4/fig5/fig8/ckpt10, ``benchmarks/results/SCHEDULER_digests.json`` pins
+fig6/fig7 and the saturated Dummynet pipe.  The robustness, tracing and
+snapshot scenarios gate on run-to-run and restore==replay equivalence
+instead.  The one throughput-style hard gate is a deterministic counter:
+the timer storm's peak event-store occupancy (see
+:data:`_TIMER_STORM_PEAK_CEILING`).  Wall clocks are reported and only
+*warned* about against the checked-in artifact.
 
 Output goes to ``BENCH_sim_core.json`` at the repository root (or the
 path given with ``--output``); ``repro bench --profile`` writes its
@@ -19,20 +20,16 @@ suppressions.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import sys
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.bench.scenarios import (make_sim, run_ckpt10, run_event_churn,
-                                   run_fig4, run_fig5, run_fig6, run_fig7,
-                                   run_fig8, run_pipe_saturation,
-                                   run_timer_storm)
-
-FAST = {"fast_path": True, "packet_trains": True, "batch_pipes": True}
-LEGACY = {"fast_path": False, "packet_trains": False, "batch_pipes": False}
+from repro.bench.scenarios import (run_ckpt10, run_event_churn, run_fig4,
+                                   run_fig5, run_fig6, run_fig7, run_fig8,
+                                   run_pipe_saturation, run_timer_storm)
+from repro.sim import Simulator
 
 
 def _repo_root() -> str:
@@ -40,32 +37,10 @@ def _repo_root() -> str:
         os.path.dirname(os.path.abspath(__file__)))))
 
 
-def _native_modules() -> List[str]:
-    """Names of hot modules currently running as compiled extensions.
-
-    The optional mypyc build (``pip install -e .[native]`` with
-    ``REPRO_NATIVE=1``; see docs/performance.md) replaces
-    ``repro.sim.core`` / ``repro.net.dummynet`` with C extensions.  The
-    bench artifact records which were active so pure-Python and native
-    numbers are never conflated.
-    """
-    native = []
-    for mod_name in ("repro.sim.core", "repro.net.dummynet"):
-        mod = sys.modules.get(mod_name)
-        if mod is None:
-            import importlib
-
-            mod = importlib.import_module(mod_name)
-        origin = getattr(mod, "__file__", "") or ""
-        if origin.endswith((".so", ".pyd")):
-            native.append(mod_name)
-    return native
-
-
-def _golden_pipeline_digests() -> Dict[str, str]:
-    """The pre-pipeline-port digests the refactor must reproduce."""
+def _golden_digests(name: str) -> Dict[str, str]:
+    """The ``scenarios`` map of ``benchmarks/results/<name>_digests.json``."""
     path = os.path.join(_repo_root(), "benchmarks", "results",
-                        "PIPELINE_digests.json")
+                        f"{name}_digests.json")
     try:
         with open(path) as fh:
             return json.load(fh)["scenarios"]
@@ -80,188 +55,74 @@ def _time_run(fn: Callable[[], object]) -> Tuple[float, object]:
     return elapsed, result
 
 
-def _bench_event_churn(quick: bool) -> Dict:
-    # Never scaled down: event_churn is under the *hard-fail* regression
-    # watch, and its gate compares the fast/legacy speedup ratio against
-    # the checked-in (full-mode) artifact — the ratio is only comparable
-    # when quick and full runs measure the same workload.  Best-of-5
-    # interleaved keeps single-sample scheduler jitter out of the gate;
-    # the whole scenario stays around a second.
+def _bench_event_churn() -> Dict:
+    # Never scaled down, so quick and full runs report the same workload.
+    # Best-of-5 keeps single-sample scheduler jitter out of the reported
+    # rate; the whole scenario stays around a second.
     events = 200_000
-    reps = 5
-    fast_s = legacy_s = float("inf")
+    best = float("inf")
     fired = 0
-    for _ in range(reps):
+    for _ in range(5):
         s, fired = _time_run(
-            lambda: run_event_churn(make_sim(**FAST), events=events))
-        fast_s = min(fast_s, s)
-        s, _ = _time_run(
-            lambda: run_event_churn(make_sim(**LEGACY), events=events))
-        legacy_s = min(legacy_s, s)
+            lambda: run_event_churn(Simulator(), events=events))
+        best = min(best, s)
     return {
         "events": fired,
-        "fast_seconds": round(fast_s, 4),
-        "legacy_seconds": round(legacy_s, 4),
-        "events_per_sec_fast": round(fired / fast_s),
-        "events_per_sec_legacy": round(fired / legacy_s),
-        "speedup": round(legacy_s / fast_s, 3),
+        "seconds": round(best, 4),
+        "events_per_sec": round(fired / best),
     }
 
 
-def _bench_timer_storm(quick: bool) -> Dict:
-    rounds = 80 if quick else 400
-    fast_s, (armed, _) = _time_run(
-        lambda: run_timer_storm(make_sim(**FAST), rounds=rounds))
-    legacy_s, _ = _time_run(
-        lambda: run_timer_storm(make_sim(**LEGACY), rounds=rounds))
+#: checked-in ceiling on the timer storm's peak ``sim.pending_count`` (400
+#: rounds of 250 arms with 249 cancels each, 400 live timers at the end).
+#: The count is deterministic, so exceeding it means tombstone reclamation
+#: regressed — not that the host was busy.
+_TIMER_STORM_PEAK_CEILING = 748
+
+
+def _bench_timer_storm() -> Dict:
+    # Never scaled down: the gated peak depends on the round count.
+    rounds = 400
+    s, (armed, fired, peak) = _time_run(
+        lambda: run_timer_storm(Simulator(), rounds=rounds))
     return {
         "timers_armed": armed,
-        "fast_seconds": round(fast_s, 4),
-        "legacy_seconds": round(legacy_s, 4),
-        "events_per_sec_fast": round(armed / fast_s),
-        "events_per_sec_legacy": round(armed / legacy_s),
-        "speedup": round(legacy_s / fast_s, 3),
+        "timers_fired": fired,
+        "seconds": round(s, 4),
+        "peak_pending": peak,
+        "peak_pending_ceiling": _TIMER_STORM_PEAK_CEILING,
+        "peak_ok": peak <= _TIMER_STORM_PEAK_CEILING,
     }
 
 
-def _bench_pipe_saturation(quick: bool) -> Dict:
-    """One saturated Dummynet pipe: merged advance vs two-call vs legacy.
+def _bench_golden(scenario: Callable[[], str], golden: Optional[str],
+                  reps: int = 1) -> Dict:
+    """One fixed-parameter scenario, timed, against its stored golden.
 
-    ``batch_ratio`` compares the merged single-call pipe driver against
-    the two-call fast path (both on the optimized scheduler); ``speedup``
-    is the usual fast-vs-legacy ratio.  All three drivers must produce
-    the same delivery digest.
+    The scenario's arguments are never scaled down in quick mode: the
+    goldens are parameter-dependent.  ``reps`` takes a best-of-N wall
+    clock — sub-second scenarios need repeats or a single sample is
+    dominated by scheduler jitter rather than by the code under test.
+    The runs are deterministic, so every repetition returns the same
+    digest.  A missing golden fails the gate rather than passing it.
     """
-    packets = 5_000 if quick else 20_000
-    reps = 1 if quick else 3
-    batch_s = twocall_s = legacy_s = float("inf")
-    d_batch = d_twocall = d_legacy = None
-    for _ in range(reps):
-        s, d_batch = _time_run(lambda: run_pipe_saturation(
-            make_sim(**FAST), packets=packets))
-        batch_s = min(batch_s, s)
-        s, d_twocall = _time_run(lambda: run_pipe_saturation(
-            make_sim(fast_path=True, packet_trains=True, batch_pipes=False),
-            packets=packets))
-        twocall_s = min(twocall_s, s)
-        s, d_legacy = _time_run(lambda: run_pipe_saturation(
-            make_sim(**LEGACY), packets=packets))
-        legacy_s = min(legacy_s, s)
-    return {
-        "packets": packets,
-        "fast_seconds": round(batch_s, 4),
-        "twocall_seconds": round(twocall_s, 4),
-        "legacy_seconds": round(legacy_s, 4),
-        "speedup": round(legacy_s / batch_s, 3),
-        "batch_ratio": round(twocall_s / batch_s, 3),
-        "digest_fast": d_batch,
-        "digest_legacy": d_legacy,
-        "digest_match": d_batch == d_twocall == d_legacy,
-    }
-
-
-def _bench_figure(scenario: Callable, quick: bool, **kwargs) -> Dict:
-    if quick:
-        kwargs = dict(kwargs)
-        kwargs["run_seconds"] = max(4, kwargs.get("run_seconds", 10) // 4)
-        kwargs["num_ckpts"] = 1
-    # Best-of-N wall clock (interleaved) to suppress host noise; the runs
-    # are deterministic, so every repetition returns the same digest.
-    reps = 1 if quick else 2
-    fast_s = legacy_s = float("inf")
-    digest_fast = digest_legacy = None
-    for _ in range(reps):
-        s, digest_fast = _time_run(
-            lambda: scenario(make_sim(**FAST), **kwargs))
-        fast_s = min(fast_s, s)
-        s, digest_legacy = _time_run(
-            lambda: scenario(make_sim(**LEGACY), **kwargs))
-        legacy_s = min(legacy_s, s)
-    return {
-        "fast_seconds": round(fast_s, 4),
-        "legacy_seconds": round(legacy_s, 4),
-        "speedup": round(legacy_s / fast_s, 3),
-        "wall_clock_reduction_pct": round(100 * (1 - fast_s / legacy_s), 1),
-        "digest_fast": digest_fast,
-        "digest_legacy": digest_legacy,
-        "digest_match": digest_fast == digest_legacy,
-    }
-
-
-def _bench_pipeline_figure(scenario: Callable, golden: Optional[str],
-                           reps: int = 1) -> Dict:
-    """A checkpoint-pipeline equivalence scenario, timed in both modes.
-
-    Unlike :func:`_bench_figure`, the scenario arguments are never scaled
-    down in quick mode: the digests must stay comparable to the stored
-    goldens captured before the pipeline port, and those goldens are
-    parameter-dependent.
-
-    ``reps`` takes a best-of-N wall clock (interleaved fast/legacy, like
-    :func:`_bench_figure`): scenarios inside the ≤2% regression watch
-    need repeats or a single sample is dominated by scheduler jitter
-    rather than by the code under test.  The runs are deterministic, so
-    every repetition returns the same digest.
-    """
-    fast_s = legacy_s = float("inf")
-    digest_fast = digest_legacy = None
+    best, digest = float("inf"), None
     for _ in range(max(1, reps)):
-        s, digest_fast = _time_run(lambda: scenario(make_sim(**FAST)))
-        fast_s = min(fast_s, s)
-        s, digest_legacy = _time_run(lambda: scenario(make_sim(**LEGACY)))
-        legacy_s = min(legacy_s, s)
+        s, digest = _time_run(scenario)
+        best = min(best, s)
     return {
-        "fast_seconds": round(fast_s, 4),
-        "legacy_seconds": round(legacy_s, 4),
-        "speedup": round(legacy_s / fast_s, 3),
-        "digest_fast": digest_fast,
-        "digest_legacy": digest_legacy,
+        "seconds": round(best, 4),
+        "digest": digest,
         "digest_golden": golden,
-        "digest_match": (digest_fast == digest_legacy
-                         and (golden is None or digest_fast == golden)),
+        "digest_match": digest == golden,
     }
-
-
-def _bench_mode_matrix(golden: Optional[str]) -> Dict:
-    """ckpt10 across the full 2x2x2 scheduling-mode matrix.
-
-    Every combination of ``fast_path`` x ``packet_trains`` x
-    ``batch_pipes`` must reproduce the pipeline golden bit-for-bit.  This
-    is the strongest equivalence statement the bench makes: the three
-    optimization layers compose in any order without moving a digest.
-    """
-    digests: Dict[str, str] = {}
-    elapsed_fast = None
-    for fp, pt, bp in itertools.product((True, False), repeat=3):
-        key = (f"fast_path={'on' if fp else 'off'},"
-               f"packet_trains={'on' if pt else 'off'},"
-               f"batch_pipes={'on' if bp else 'off'}")
-        s, digest = _time_run(lambda: run_ckpt10(
-            make_sim(fast_path=fp, packet_trains=pt, batch_pipes=bp)))
-        digests[key] = digest
-        if fp and pt and bp:
-            elapsed_fast = s
-    unique = sorted(set(digests.values()))
-    match = len(unique) == 1 and (golden is None or unique[0] == golden)
-    result = {
-        "combinations": len(digests),
-        "fast_seconds": round(elapsed_fast, 4),
-        "digest_fast": digests[("fast_path=on,packet_trains=on,"
-                                "batch_pipes=on")],
-        "digest_golden": golden,
-        "digest_match": match,
-    }
-    if not match:
-        result["digests"] = digests
-    return result
 
 
 def _bench_faultstorm(quick: bool) -> Dict:
     """The seeded fault-storm, run twice: survival plus determinism.
 
-    There is no fast/legacy split here — the storm exercises the
-    recovery machinery, not the scheduler — so the run is repeated with
-    identical inputs instead and ``digest_match`` asserts the two runs
+    The storm exercises the recovery machinery, so the run is repeated
+    with identical inputs and ``digest_match`` asserts the two runs
     (trace + experiment state) were bit-identical.  The wall clock is
     the best of the two runs (same best-of discipline as the figures).
     """
@@ -273,7 +134,7 @@ def _bench_faultstorm(quick: bool) -> Dict:
     second_s, second = _time_run(lambda: run_faultstorm(
         run_seconds=run_seconds))
     return {
-        "fast_seconds": round(min(first_s, second_s), 4),
+        "seconds": round(min(first_s, second_s), 4),
         "completed": first.completed,
         "attempts": first.attempts,
         "retransmits": first.retransmits,
@@ -287,7 +148,7 @@ def _bench_faultstorm(quick: bool) -> Dict:
 def _bench_trace_overhead(golden: Optional[str], quick: bool) -> Dict:
     """ckpt10 with tracing off / filtered / list sink / JSONL sink.
 
-    Quantifies what observability costs the fast path: ``off`` is the
+    Quantifies what observability costs the event loop: ``off`` is the
     production configuration (no tracer attached), ``filtered`` attaches
     a tracer whose category filter rejects everything (the hoisted
     ``enabled_for`` check is all that runs), ``list`` retains every
@@ -301,12 +162,12 @@ def _bench_trace_overhead(golden: Optional[str], quick: bool) -> Dict:
     # One untimed warm-up run so the first timed configuration does not
     # absorb one-off costs (lazy imports, code-object warm-up) that
     # would masquerade as tracing overhead.
-    run_ckpt10(make_sim(**FAST))
+    run_ckpt10(Simulator())
 
     def timed(make_tracer) -> Tuple[float, object]:
         best, digest = float("inf"), None
         for _ in range(reps):
-            sim = make_sim(**FAST)
+            sim = Simulator()
             tracer = make_tracer(sim)
             s, digest = _time_run(lambda: run_ckpt10(sim, tracer=tracer))
             best = min(best, s)
@@ -326,14 +187,14 @@ def _bench_trace_overhead(golden: Optional[str], quick: bool) -> Dict:
         return round(100.0 * (s - off_s) / off_s, 1)
 
     return {
-        "fast_seconds": round(off_s, 4),
+        "seconds": round(off_s, 4),
         "filtered_seconds": round(filt_s, 4),
         "list_sink_seconds": round(list_s, 4),
         "jsonl_sink_seconds": round(jsonl_s, 4),
         "filtered_overhead_pct": pct(filt_s),
         "list_sink_overhead_pct": pct(list_s),
         "jsonl_sink_overhead_pct": pct(jsonl_s),
-        "digest_fast": off_digest,
+        "digest": off_digest,
         "digest_golden": golden,
         "digest_match": (len(set(digests)) == 1 and
                          (golden is None or off_digest == golden)),
@@ -397,7 +258,7 @@ def _bench_snapshot_restore(quick: bool) -> Dict:
             "new_chunk_bytes": snap.new_chunk_bytes,
         })
     return {
-        "fast_seconds": round(restore_s_last, 4),
+        "seconds": round(restore_s_last, 4),
         "replay_seconds": round(replay_s_last, 4),
         "crossover_virtual_seconds": crossover,
         "horizons": rows,
@@ -416,7 +277,7 @@ def _bench_snapshot_durable(quick: bool) -> Dict:
     (docs/durability.md).  A fresh process then ``recover()``s the
     synced store and cold-restores the deepest snapshot; its digest
     must match the live world's (durability is also an equivalence
-    gate).  ``fast_seconds`` is the fsync-off time: that is what CI
+    gate).  ``seconds`` is the fsync-off time: that is what CI
     pays in the crash matrix, and it is far less jittery on shared
     containers than physical fsync latency.
     """
@@ -466,7 +327,7 @@ def _bench_snapshot_durable(quick: bool) -> Dict:
         return round(100.0 * (s - memory_s) / memory_s, 1) if memory_s else None
 
     return {
-        "fast_seconds": round(nosync_s, 4),
+        "seconds": round(nosync_s, 4),
         "memory_seconds": round(memory_s, 4),
         "fsync_seconds": round(fsync_s, 4),
         "checkpoints": steps,
@@ -497,8 +358,8 @@ def run_profile(out=sys.stdout, json_output: Optional[str] = None,
     """
     from repro.obs import ListSink, Tracer
 
-    goldens = _golden_pipeline_digests()
-    sim = make_sim(**FAST)
+    goldens = _golden_digests("PIPELINE")
+    sim = Simulator()
     profiler = sim.enable_profiling()
     tracer = Tracer(clock=lambda: sim.now, sink=ListSink())
     elapsed, digest = _time_run(lambda: run_ckpt10(sim, tracer=tracer))
@@ -521,8 +382,6 @@ def run_profile(out=sys.stdout, json_output: Optional[str] = None,
         "profile": "sim_core",
         "scenario": "ckpt10_coordinated",
         "python": sys.version.split()[0],
-        "native_modules": _native_modules(),
-        "config": FAST,
         "wall_seconds": round(elapsed, 4),
         "dispatches": profiler.dispatches,
         "digest": digest,
@@ -540,23 +399,13 @@ def run_profile(out=sys.stdout, json_output: Optional[str] = None,
 
 
 #: scenarios whose wall clock is compared against the checked-in artifact
-#: and *warned* about (the fault-free paths must not pay for the fault
-#: layer; sub-second wall clocks make these too jittery to hard-fail)
-_REGRESSION_WATCH = ("fig4_sleep", "fig5_cpuburn", "fig8_cow_storage",
-                     "ckpt10_coordinated", "snapshot_restore",
-                     "snapshot_durable")
-#: scenarios whose regression FAILS the bench.  The gated quantity is the
-#: fast/legacy *speedup ratio* from the same interleaved best-of-N run,
-#: not the absolute event rate: a loaded or slower host drags both paths
-#: down together and cancels out of the ratio, while a real fast-path
-#: regression moves only the numerator.  (Absolute rates on shared
-#: containers swing tens of percent between runs — an absolute-rate gate
-#: at a 2% budget is pure flake.)  The scenario's workload is never
-#: scaled down in quick mode, so the ratio is quick↔full comparable.
-_REGRESSION_FAIL = ("event_churn",)
+#: and *warned* about (sub-second wall clocks on shared hosts are too
+#: jittery to hard-fail; the hard gates are the digests and the
+#: timer-storm counter)
+_REGRESSION_WATCH = ("event_churn", "fig4_sleep", "fig5_cpuburn",
+                     "fig8_cow_storage", "ckpt10_coordinated",
+                     "snapshot_restore", "snapshot_durable")
 _REGRESSION_BUDGET_PCT = 2.0
-#: absolute floor on the same ratio — the PR 7 acceptance criterion
-_SPEEDUP_FLOOR = {"event_churn": 3.0}
 
 
 def _previous_results(path: str) -> Dict[str, Dict]:
@@ -572,40 +421,49 @@ def run_bench(quick: bool = False, output: Optional[str] = None,
               out=sys.stdout) -> int:
     """Run all scenarios, write the JSON artifact, print a summary.
 
-    Returns a process exit code: non-zero if any figure scenario's
-    fast/legacy digests diverge (the bench is also an equivalence gate)
-    or if a hard-fail regression scenario slowed past the budget.
+    Returns a process exit code: non-zero if any scenario's digest misses
+    its golden or diverges run to run, or if the timer storm's peak
+    event-store occupancy exceeds its checked-in ceiling.  ``quick``
+    shortens the fault storm and the snapshot scenarios; every
+    golden-gated scenario runs at its fixed parameters.
     """
-    goldens = _golden_pipeline_digests()
+    pipeline = _golden_digests("PIPELINE")
+    scheduler = _golden_digests("SCHEDULER")
+    figure_reps = 1 if quick else 2
     scenarios = {
-        "event_churn": lambda: _bench_event_churn(quick),
-        "timer_cancel_rearm_storm": lambda: _bench_timer_storm(quick),
-        "pipe_saturation": lambda: _bench_pipe_saturation(quick),
-        "fig6_iperf": lambda: _bench_figure(run_fig6, quick, run_seconds=20),
-        "fig7_bittorrent": lambda: _bench_figure(run_fig7, quick,
-                                                 run_seconds=25),
-        # Checkpoint-pipeline equivalence gate: fixed args, digests must
-        # also match the pre-port goldens in PIPELINE_digests.json.
-        # These finish in milliseconds to sub-second: without repeats the
-        # ≤2% watch fails on host jitter alone (the +28%/+17% noise
-        # documented in ROADMAP item 5), so all four get best-of-N.
-        "fig4_sleep": lambda: _bench_pipeline_figure(
-            run_fig4, goldens.get("fig4_sleep"), reps=7),
-        "fig5_cpuburn": lambda: _bench_pipeline_figure(
-            run_fig5, goldens.get("fig5_cpuburn"), reps=15),
-        "fig8_cow_storage": lambda: _bench_pipeline_figure(
-            run_fig8, goldens.get("fig8_cow_storage"), reps=3),
-        "ckpt10_coordinated": lambda: _bench_pipeline_figure(
-            run_ckpt10, goldens.get("ckpt10_coordinated"), reps=5),
-        # Strongest equivalence gate: all 8 scheduling-mode combinations.
-        "mode_matrix_ckpt10": lambda: _bench_mode_matrix(
-            goldens.get("ckpt10_coordinated")),
+        "event_churn": _bench_event_churn,
+        # Hard gate: deterministic tombstone-reclamation counter.
+        "timer_cancel_rearm_storm": _bench_timer_storm,
+        # Scheduler goldens: fixed parameters, see SCHEDULER_digests.json.
+        "pipe_saturation": lambda: _bench_golden(
+            lambda: run_pipe_saturation(Simulator(), packets=20_000),
+            scheduler.get("pipe_saturation"), reps=1 if quick else 3),
+        "fig6_iperf": lambda: _bench_golden(
+            lambda: run_fig6(Simulator(), run_seconds=5, num_ckpts=1),
+            scheduler.get("fig6_iperf"), reps=figure_reps),
+        "fig7_bittorrent": lambda: _bench_golden(
+            lambda: run_fig7(Simulator(), run_seconds=8, num_ckpts=1),
+            scheduler.get("fig7_bittorrent"), reps=figure_reps),
+        # Checkpoint-pipeline goldens (PIPELINE_digests.json).  These
+        # finish in milliseconds to sub-second, so all four get best-of-N.
+        "fig4_sleep": lambda: _bench_golden(
+            lambda: run_fig4(Simulator()), pipeline.get("fig4_sleep"),
+            reps=7),
+        "fig5_cpuburn": lambda: _bench_golden(
+            lambda: run_fig5(Simulator()), pipeline.get("fig5_cpuburn"),
+            reps=15),
+        "fig8_cow_storage": lambda: _bench_golden(
+            lambda: run_fig8(Simulator()),
+            pipeline.get("fig8_cow_storage"), reps=3),
+        "ckpt10_coordinated": lambda: _bench_golden(
+            lambda: run_ckpt10(Simulator()),
+            pipeline.get("ckpt10_coordinated"), reps=5),
         # Robustness gate: seeded storm must survive, deterministically.
         "ckpt10_faultstorm": lambda: _bench_faultstorm(quick),
         # Observability gate: tracing must be digest-neutral, and the
         # sink configurations bound its wall-clock cost.
         "ckpt10_trace_overhead": lambda: _bench_trace_overhead(
-            goldens.get("ckpt10_coordinated"), quick),
+            pipeline.get("ckpt10_coordinated"), quick),
         # True-restore gate: restore-then-run must match replay digests
         # and beat it past the recorded virtual-time crossover, with
         # delta snapshots smaller than full.
@@ -623,52 +481,23 @@ def run_bench(quick: bool = False, output: Optional[str] = None,
         print(f"bench: {name} ...", file=out, flush=True)
         results[name] = fn()
 
-    # Fault-free wall-clock watch: the reliability/fault hooks must cost
-    # the disabled path nothing measurable vs the checked-in artifact.
+    # Wall-clock watch: warn-only, vs the checked-in artifact.
     regressions = []
     for name in _REGRESSION_WATCH:
-        before = previous.get(name, {}).get("fast_seconds")
-        after = results.get(name, {}).get("fast_seconds")
+        before = previous.get(name, {}).get("seconds")
+        after = results.get(name, {}).get("seconds")
         if not before or not after:
             continue
         pct = round(100.0 * (after - before) / before, 1)
-        results[name]["fast_seconds_previous"] = before
+        results[name]["seconds_previous"] = before
         results[name]["regression_vs_checked_in_pct"] = pct
         if pct > _REGRESSION_BUDGET_PCT:
             regressions.append((name, pct))
-
-    # Hard-fail throughput watch: compares the host-load-invariant
-    # fast/legacy speedup ratio (see _REGRESSION_FAIL) and enforces the
-    # absolute acceptance floor on the same ratio.
-    failures = []
-    for name in _REGRESSION_FAIL:
-        after = results.get(name, {}).get("speedup")
-        if not after:
-            continue
-        floor = _SPEEDUP_FLOOR.get(name)
-        if floor and after < floor:
-            results[name]["speedup_floor"] = floor
-            failures.append((name, f"speedup {after}x below the "
-                                   f"{floor}x acceptance floor"))
-            continue
-        before = previous.get(name, {}).get("speedup")
-        if not before:
-            continue
-        pct = round(100.0 * (before - after) / before, 1)
-        results[name]["speedup_previous"] = before
-        results[name]["regression_vs_checked_in_pct"] = pct
-        if pct > _REGRESSION_BUDGET_PCT:
-            failures.append((name, f"speedup -{pct}% vs checked-in "
-                                   f"artifact (budget "
-                                   f"{_REGRESSION_BUDGET_PCT}%)"))
 
     payload = {
         "bench": "sim_core",
         "mode": "quick" if quick else "full",
         "python": sys.version.split()[0],
-        "native_modules": _native_modules(),
-        "fast_config": FAST,
-        "legacy_config": LEGACY,
         "scenarios": results,
     }
     with open(output, "w") as fh:
@@ -676,44 +505,32 @@ def run_bench(quick: bool = False, output: Optional[str] = None,
         fh.write("\n")
 
     print(file=out)
-    print(f"{'scenario':<28} {'fast':>9} {'legacy':>9} {'speedup':>8}",
-          file=out)
+    print(f"{'scenario':<28} {'seconds':>9}", file=out)
     ok = True
     for name, r in results.items():
-        if "legacy_seconds" in r:
-            print(f"{name:<28} {r['fast_seconds']:>8.3f}s "
-                  f"{r['legacy_seconds']:>8.3f}s {r['speedup']:>7.2f}x",
+        print(f"{name:<28} {r['seconds']:>8.3f}s", file=out)
+        if r.get("peak_ok") is False:
+            ok = False
+            print(f"  PEAK PENDING {r['peak_pending']} exceeds the "
+                  f"checked-in ceiling {r['peak_pending_ceiling']}",
                   file=out)
-        else:
-            print(f"{name:<28} {r['fast_seconds']:>8.3f}s "
-                  f"{'—':>9} {'—':>8}", file=out)
         if "digest_match" in r and not r["digest_match"]:
             ok = False
-            if r.get("digest_fast", 0) != r.get("digest_legacy", 0):
-                print(f"  DIGEST MISMATCH: fast {r.get('digest_fast')} != "
-                      f"legacy {r.get('digest_legacy')}", file=out)
-            if r.get("digest_golden") not in (None, r.get("digest_fast")):
-                print(f"  GOLDEN MISMATCH: {r.get('digest_fast')} != "
-                      f"{r['digest_golden']} (pre-pipeline-port)", file=out)
+            if "digest_golden" in r and r["digest_golden"] != r["digest"]:
+                print(f"  GOLDEN MISMATCH: {r['digest']} != "
+                      f"{r['digest_golden']}", file=out)
             if r.get("digest_first", 0) != r.get("digest_second", 0):
                 print(f"  RUN-TO-RUN MISMATCH: {r.get('digest_first')} != "
                       f"{r.get('digest_second')}", file=out)
             if r.get("completed") is False:
                 print("  STORM DID NOT COMPLETE within the retry budget",
                       file=out)
-            if "digests" in r:
-                for combo, digest in r["digests"].items():
-                    print(f"  {combo}: {digest}", file=out)
     for name, pct in regressions:
-        print(f"WARNING: {name} fast path {pct:+.1f}% vs checked-in artifact "
+        print(f"WARNING: {name} {pct:+.1f}% vs checked-in artifact "
               f"(budget {_REGRESSION_BUDGET_PCT}%)", file=out)
-    for name, why in failures:
-        ok = False
-        print(f"FAIL: {name} {why}", file=out)
     print(f"\nwrote {output}", file=out)
     if not ok:
-        print("bench FAILED: digests diverged or throughput regressed",
-              file=out)
+        print("bench FAILED: a digest or counter gate failed", file=out)
     return 0 if ok else 1
 
 
@@ -721,14 +538,11 @@ def run_scenario_bench(path: str, quick: bool = False,
                        out=None) -> int:
     """``repro bench --scenario-file``: bench one declarative scenario.
 
-    Applies the registry's equivalence discipline to an unregistered
-    DSL file (docs/scenarios.md): testbed scenarios run once on the
-    optimized scheduler and once on the legacy Event path and must
-    produce the same digest; survival-digest scenarios and snapshot
-    worlds build their own rigs, so they run twice with identical
-    inputs and must be run-to-run deterministic.  Returns non-zero on
-    any digest divergence.  ``quick`` is accepted for CLI symmetry;
-    scenario parameters come from the file and are never scaled down.
+    Runs an unregistered DSL file (docs/scenarios.md) twice with
+    identical inputs and requires the two digests to agree (run-to-run
+    determinism).  Returns non-zero on any divergence.  ``quick`` is
+    accepted for CLI symmetry; scenario parameters come from the file
+    and are never scaled down.
     """
     del quick  # parameters live in the scenario file
     if out is None:
@@ -744,28 +558,13 @@ def run_scenario_bench(path: str, quick: bool = False,
         print(f"scenario error: {exc}", file=out)
         return 2
     recipe = ("world" if spec.kind == "world" else spec.digest_recipe)
-    if spec.kind == "world" or recipe == "survival":
-        # These rigs build their own simulator / exercise recovery
-        # machinery, not the scheduler: the comparison is run-to-run.
-        first_s, first = _time_run(lambda: compiled.run())
-        second_s, second = _time_run(lambda: compiled.run())
-        match = first.digest == second.digest
-        print(f"{spec.name} [{recipe}]: run1 {first_s:.3f}s, "
-              f"run2 {second_s:.3f}s", file=out)
-        print(f"  digest run1: {first.digest}", file=out)
-        print(f"  digest run2: {second.digest}", file=out)
-        print("run-to-run determinism:",
-              "OK" if match else "MISMATCH", file=out)
-        return 0 if match else 1
-    fast_s, fast = _time_run(lambda: compiled.run(sim=make_sim(**FAST)))
-    legacy_s, legacy = _time_run(
-        lambda: compiled.run(sim=make_sim(**LEGACY)))
-    match = fast.digest == legacy.digest
-    print(f"{spec.name} [{recipe}]: fast {fast_s:.3f}s, "
-          f"legacy {legacy_s:.3f}s, "
-          f"speedup {legacy_s / fast_s:.2f}x", file=out)
-    print(f"  digest fast:   {fast.digest}", file=out)
-    print(f"  digest legacy: {legacy.digest}", file=out)
-    print("fast/legacy equivalence:", "OK" if match else "MISMATCH",
+    first_s, first = _time_run(lambda: compiled.run())
+    second_s, second = _time_run(lambda: compiled.run())
+    match = first.digest == second.digest
+    print(f"{spec.name} [{recipe}]: run1 {first_s:.3f}s, "
+          f"run2 {second_s:.3f}s", file=out)
+    print(f"  digest run1: {first.digest}", file=out)
+    print(f"  digest run2: {second.digest}", file=out)
+    print("run-to-run determinism:", "OK" if match else "MISMATCH",
           file=out)
     return 0 if match else 1

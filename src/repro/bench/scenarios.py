@@ -1,12 +1,11 @@
-"""Benchmark scenarios, parameterized by the simulator's scheduling mode.
+"""Benchmark scenarios: kernel microbenchmarks and the paper's figure rigs.
 
-Every scenario builds its world through the public API with an explicitly
-configured :class:`~repro.sim.core.Simulator`, so the same code runs the
-optimized path (``fast_path=True, packet_trains=True``) and the legacy
-Event-per-callback path (``fast_path=False, packet_trains=False``)
-side by side.  The figure scenarios return an
-:func:`~repro.analysis.digest.experiment_digest`, which the equivalence
-tests assert is identical across modes.
+Every scenario builds its world through the public API on a caller-supplied
+:class:`~repro.sim.core.Simulator`.  The figure scenarios return an
+:func:`~repro.analysis.digest.experiment_digest` (or a hash over one plus
+checkpoint timings), which the equivalence tests and ``repro bench``
+compare against the stored goldens in ``benchmarks/results/``
+(``PIPELINE_digests.json`` and ``SCHEDULER_digests.json``).
 """
 
 from __future__ import annotations
@@ -22,13 +21,6 @@ from repro.sim.timers import SimTimerService
 from repro.testbed.schedule import (periodic_coordinated_checkpoints,
                                     periodic_local_checkpoints)
 from repro.units import GB, GBPS, MB, MBPS, MS, SECOND, US
-
-
-def make_sim(fast_path: bool = True, packet_trains: bool = True,
-             batch_pipes: bool = True) -> Simulator:
-    """A simulator in the requested scheduling mode."""
-    return Simulator(fast_path=fast_path, packet_trains=packet_trains,
-                     batch_pipes=batch_pipes)
 
 
 # -- kernel microbenchmarks ----------------------------------------------------
@@ -57,15 +49,17 @@ def run_event_churn(sim: Simulator, events: int = 200_000,
 
 
 def run_timer_storm(sim: Simulator, rounds: int = 400,
-                    timers: int = 250) -> Tuple[int, int]:
+                    timers: int = 250) -> Tuple[int, int, int]:
     """A TCP-RTO-style cancel/rearm storm.
 
     Each round arms ``timers`` long-deadline timers (60 s out, like
     retransmission timers) and immediately cancels all but one — the
-    "ack arrived, rearm" pattern.  On the legacy path every cancelled
-    timer's Event stays on the heap until its 60 s deadline, so the heap
-    grows by ~``rounds * timers`` tombstones; the fast path reclaims them
-    via lazy deletion + compaction.  Returns (timers armed, timers fired).
+    "ack arrived, rearm" pattern.  Without tombstone reclamation the
+    store would grow by ``timers - 1`` dead entries per round; lazy
+    deletion + compaction keep it within a small multiple of the
+    ``rounds`` live timers.  Returns (timers armed, timers fired, peak
+    ``sim.pending_count`` sampled after each round's cancels) — the peak
+    is deterministic, so ``repro bench`` gates on it exactly.
     """
     svc = SimTimerService(sim)
     state = {"fired": 0}
@@ -74,14 +68,16 @@ def run_timer_storm(sim: Simulator, rounds: int = 400,
         state["fired"] += 1
 
     armed = 0
+    peak_pending = 0
     for _ in range(rounds):
         handles = [svc.call_in(60 * SECOND, on_fire) for _ in range(timers)]
         armed += len(handles)
         for handle in handles[:-1]:
             handle.cancel()
+        peak_pending = max(peak_pending, sim.pending_count)
         sim.run(until=sim.now + 1 * MS)
     sim.run(until=sim.now + 61 * SECOND)
-    return armed, state["fired"]
+    return armed, state["fired"], peak_pending
 
 
 def run_pipe_saturation(sim: Simulator, packets: int = 20_000,
@@ -91,10 +87,10 @@ def run_pipe_saturation(sim: Simulator, packets: int = 20_000,
     Pumps ``packets`` packets through one shaped pipe (bandwidth + delay
     line) in ``bursts`` back-to-back bursts, refilling the router queue
     from the sink callback so the bandwidth server never idles — the
-    steady-state load the batched advance (``Simulator(batch_pipes=True)``)
-    exists for.  Returns a digest over every delivery instant and packet
-    identity, so any scheduling divergence between the merged-advance and
-    two-call pipe drivers changes the result.
+    steady-state load the pipe's merged advance call exists for.  Returns
+    a digest over every delivery instant and packet identity, so any
+    change to the pipe's scheduling changes the result (the stored golden
+    is in ``benchmarks/results/SCHEDULER_digests.json``).
     """
     from repro.net.dummynet import Pipe, PipeConfig
     from repro.net.packet import Packet
@@ -192,7 +188,7 @@ def run_fig6(sim: Simulator, run_seconds: int = 20, num_ckpts: int = 3,
 
     Returns the experiment digest, which covers guest virtual time, TCP
     sequence state and counters, storage content maps, and delay-node
-    occupancy — any scheduling divergence between modes changes it.
+    occupancy — any scheduling change moves it.
     """
     from repro.workloads import IperfSession
 
@@ -323,8 +319,8 @@ def run_fig5(sim: Simulator, iterations: int = 30, num_ckpts: int = 3,
 def run_fig8(sim: Simulator, file_mb: int = 96, seed: int = 8) -> str:
     """The Figure 8 scenario (Bonnie++ on COW storage configurations).
 
-    Each configuration runs in its own simulator (same scheduling mode as
-    ``sim``); the digest covers the branch content maps and throughputs.
+    The ``base`` configuration runs on ``sim``, each other one in a fresh
+    simulator; the digest covers the branch content maps and throughputs.
     """
     from repro.hw import Disk, DiskSpec
     from repro.storage import (BranchConfig, CowMode, Extent, LinearVolume,
@@ -334,9 +330,7 @@ def run_fig8(sim: Simulator, file_mb: int = 96, seed: int = 8) -> str:
     golden_blocks = 120_000
     parts: list = []
     for config_name in ("base", "branch", "branch-aged", "branch-orig"):
-        config_sim = sim if config_name == "base" else Simulator(
-            fast_path=sim.fast_path, packet_trains=sim.packet_trains,
-            batch_pipes=sim.batch_pipes)
+        config_sim = sim if config_name == "base" else Simulator()
         disk = Disk(config_sim, DiskSpec(capacity_bytes=16 * GB))
         branch = None
         if config_name == "base":

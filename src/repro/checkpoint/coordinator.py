@@ -44,7 +44,8 @@ from repro.checkpoint.pipeline import (AgentFailure, BranchProvider,
                                        Stage, StageFailed, SuspendPolicy)
 from repro.clocksync.clock import SystemClock
 from repro.errors import CheckpointError, FirewallViolation, StorageError
-from repro.net.delaynode import DelayNode, DelayNodeSnapshot
+from repro.net.delaynode import DelayNode
+from repro.net.dummynet import payload_packets_in_flight
 from repro.sim.core import Simulator
 from repro.obs.trace import NULL_SPAN, Tracer, maybe_record
 from repro.units import MS, SECOND
@@ -380,7 +381,7 @@ class DelayNodeAgent(_PipelineAgent):
         self._publish("resumed", self._reply())
 
     @property
-    def last_snapshot(self) -> Optional[DelayNodeSnapshot]:
+    def last_snapshot(self) -> Optional[dict]:
         return self.provider.last_snapshot
 
     @property
@@ -398,7 +399,8 @@ class CoordinatedResult:
 
     scheduled_deadline_local_ns: Optional[int]
     node_results: Dict[str, CheckpointResult]
-    delay_snapshots: Dict[str, DelayNodeSnapshot]
+    #: per-delay-node ``DelayNode.serialize_state`` payloads
+    delay_snapshots: Dict[str, dict]
     suspend_skew_ns: int
     resume_skew_ns: int
     core_packets_captured: int
@@ -740,7 +742,9 @@ class Coordinator:
             resume_skew_ns=max(thaw_times) - min(thaw_times)
             if thaw_times else 0,
             core_packets_captured=sum(
-                s.packets_in_flight for s in delay_snaps.values() if s),
+                payload_packets_in_flight(s[direction])
+                for s in delay_snaps.values() if s
+                for direction in ("forward", "reverse")),
             endpoint_packets_replayed=sum(
                 r.replayed_packets for r in node_results.values() if r),
             wall_duration_ns=self.sim.now - started,

@@ -557,7 +557,15 @@ class DomainProvider(Checkpointable):
 
 
 class DelayNodeProvider(Checkpointable):
-    """A Dummynet delay node: freeze pipes, serialize, thaw (§4.4)."""
+    """A Dummynet delay node: freeze pipes, serialize, thaw (§4.4).
+
+    ``stage_save`` keeps the frozen node's
+    :meth:`~repro.net.delaynode.DelayNode.serialize_state` payload in
+    :attr:`last_snapshot` — the same dict the snapshot store persists.
+    """
+
+    #: version 2: pipe payloads carry one ``advance`` call triple
+    SCHEMA_VERSION = 2
 
     #: cost of serializing pipe state non-destructively
     SERIALIZE_COST_NS = 300 * US
@@ -577,7 +585,7 @@ class DelayNodeProvider(Checkpointable):
 
     def stage_save(self):
         yield self.delay_node.sim.timeout(self.serialize_cost_ns)
-        self.last_snapshot = self.delay_node.capture_state()
+        self.last_snapshot = self.delay_node.serialize_state()
 
     def stage_resume(self):
         self.delay_node.thaw()

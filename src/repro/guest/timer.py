@@ -12,8 +12,8 @@ nominal deadline and handler execution, standing in for timer-interrupt
 granularity and softirq scheduling.  This slack is what bounds Figure 4's
 baseline timer accuracy (97% of iterations within 28 µs).
 
-Scheduling goes through the simulator's fast path: one
-:class:`~repro.sim.core.ScheduledCall` per distinct fire instant (all
+Scheduling goes through :meth:`~repro.sim.core.Simulator.schedule_call`:
+one :class:`~repro.sim.core.ScheduledCall` per distinct fire instant (all
 timers expiring at that instant share it, firing in arming order).  A
 cancelled :class:`~repro.sim.timers.TimerHandle` is unhooked from its batch
 immediately — and when the last timer of a batch is cancelled, or the wheel

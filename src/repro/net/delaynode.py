@@ -11,12 +11,13 @@ and is otherwise invisible to the endpoints.  :func:`install_shaped_link`
 wires two hosts together through a delay node, mirroring how the testbed
 stitches VLANs.
 
-Under ``Simulator(batch_pipes=True)`` (the default) each directional pipe
-drives itself with a single merged advance call instead of separate
-transmission and delay-line handles, so a busy delay node keeps two armed
-event-store entries total — see :mod:`repro.net.dummynet` for the batching
-conditions and :meth:`DelayNode.freeze` semantics (freezing cancels both
-pipes' armed calls).
+Each directional pipe drives itself with a single merged advance call, so a
+busy delay node keeps two armed event-store entries total — see
+:mod:`repro.net.dummynet` for the advance rules and :meth:`DelayNode.freeze`
+semantics (freezing cancels both pipes' armed calls).  The checkpoint state
+is the :meth:`DelayNode.serialize_state` payload (§4.4's "serialize the
+queued packets"): taken while frozen, it carries every queued,
+transmitting and delay-line packet of both directions.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import CheckpointError
-from repro.net.dummynet import Pipe, PipeConfig, PipeSnapshot
+from repro.net.dummynet import Pipe, PipeConfig
 from repro.net.host import Host
 from repro.net.interface import Interface
 from repro.net.link import Link
@@ -48,18 +49,6 @@ class LinkShape:
     def pipe_config(self) -> PipeConfig:
         return PipeConfig(self.bandwidth_bps, self.delay_ns,
                           self.loss_probability, self.queue_slots)
-
-
-@dataclass
-class DelayNodeSnapshot:
-    """Serialized Dummynet state of one delay node."""
-
-    forward: PipeSnapshot
-    reverse: PipeSnapshot
-
-    @property
-    def packets_in_flight(self) -> int:
-        return self.forward.packets_in_flight + self.reverse.packets_in_flight
 
 
 class DelayNode:
@@ -116,16 +105,6 @@ class DelayNode:
         self._frozen = False
         self._pipe_ab.thaw()
         self._pipe_ba.thaw()
-
-    def capture_state(self) -> DelayNodeSnapshot:
-        """Serialize pipes, router queues, and queued packets (§4.4)."""
-        return DelayNodeSnapshot(self._pipe_ab.capture_state(),
-                                 self._pipe_ba.capture_state())
-
-    def restore_state(self, snapshot: DelayNodeSnapshot) -> None:
-        """Restore a previously captured Dummynet state."""
-        self._pipe_ab.restore_state(snapshot.forward)
-        self._pipe_ba.restore_state(snapshot.reverse)
 
     # -- JSON serialize/restore ---------------------------------------------------
 

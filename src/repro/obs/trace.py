@@ -1,7 +1,7 @@
 """Structured tracing: point records and duration spans over sinks.
 
 This module is the core of :mod:`repro.obs`, the observability layer
-that subsumes the original flat ``repro.sim.trace`` list tracer.  Two
+that grew out of the original flat list tracer.  Two
 record shapes flow through one :class:`Tracer`:
 
 * :class:`TraceRecord` — a point occurrence (``tracer.record``);

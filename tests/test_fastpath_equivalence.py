@@ -1,88 +1,55 @@
-"""Fast path ⇔ legacy path equivalence on the paper's experiment rigs.
+"""The scheduler's behaviour on the paper's experiment rigs, pinned.
 
-The optimization contract of the scheduling fast path and packet-train
-batching is *bit-identical semantics*: the same experiment, run under any
-combination of ``fast_path`` and ``packet_trains``, must end in exactly
-the same state.  These tests drive the Figure 6 (iperf over GigE) and
-Figure 7 (BitTorrent LAN swarm) rigs — checkpoints included — through all
-scheduling modes and compare :func:`~repro.analysis.digest.experiment_digest`,
-which covers guest virtual time, TCP sequence state and counters, storage
-content maps, and delay-node occupancy.
+The Figure 6 (iperf over GigE) and Figure 7 (BitTorrent LAN swarm) rigs —
+checkpoints included — must reproduce their stored goldens in
+``benchmarks/results/SCHEDULER_digests.json``.  The digest,
+:func:`~repro.analysis.digest.experiment_digest`, covers guest virtual
+time, TCP sequence state and counters, storage content maps, and
+delay-node occupancy, so any change to event order moves it.
 
-Also here: shadow-run convergence (no hidden ordering dependence in the
-fast path) and event-race cleanliness of a fast-path rig run.
+Also here: shadow-run convergence (no hidden ordering dependence) and
+event-race cleanliness of a rig run.
 """
 
-import pytest
+import json
+import os
 
-from repro.bench.scenarios import make_sim, run_fig6, run_fig7
+from repro.bench.scenarios import run_fig6, run_fig7
 from repro.lint.runtime import shadow_run
 from repro.sim import Simulator
-from repro.units import SECOND
 
-MODES = [
-    ("fast+trains", dict(fast_path=True, packet_trains=True)),
-    ("fast+per-packet", dict(fast_path=True, packet_trains=False)),
-    ("legacy+trains", dict(fast_path=False, packet_trains=True)),
-    ("legacy+per-packet", dict(fast_path=False, packet_trains=False)),
-    # the third optimization axis: merged single-call pipe driver on/off
-    ("fast+trains+two-call-pipes",
-     dict(fast_path=True, packet_trains=True, batch_pipes=False)),
-    ("legacy+per-packet+batch-pipes",
-     dict(fast_path=False, packet_trains=False, batch_pipes=True)),
-]
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
+                           "benchmarks", "results", "SCHEDULER_digests.json")
+
+with open(GOLDEN_PATH) as _fh:
+    GOLDEN = json.load(_fh)["scenarios"]
 
 
-@pytest.fixture(scope="module")
-def fig6_digests():
-    return {name: run_fig6(make_sim(**kw), run_seconds=5, num_ckpts=1)
-            for name, kw in MODES}
+def test_fig6_matches_scheduler_golden():
+    digest = run_fig6(Simulator(), run_seconds=5, num_ckpts=1)
+    assert digest == GOLDEN["fig6_iperf"]
 
 
-def test_fig6_all_modes_bit_identical(fig6_digests):
-    reference = fig6_digests["fast+trains"]
-    assert all(d == reference for d in fig6_digests.values()), fig6_digests
-
-
-def test_fig7_modes_bit_identical():
-    # The two opposite corners of the full 2x2x2 mode cube.
-    digests = {name: run_fig7(make_sim(**kw), run_seconds=8, num_ckpts=1)
-               for name, kw in (MODES[0], MODES[3])}
-    assert digests["fast+trains"] == digests["legacy+per-packet"], digests
+def test_fig7_matches_scheduler_golden():
+    digest = run_fig7(Simulator(), run_seconds=8, num_ckpts=1)
+    assert digest == GOLDEN["fig7_bittorrent"]
 
 
 def test_fig6_shadow_run_converges():
     # Equivalent-but-perturbed RNG substreams must not change the digest
-    # structure of the fast-path run (no hidden ordering dependence).
+    # structure of the run (no hidden ordering dependence).
     def scenario(streams):
-        return run_fig6(make_sim(fast_path=True, packet_trains=True),
-                        run_seconds=3, num_ckpts=1, streams=streams)
+        return run_fig6(Simulator(), run_seconds=3, num_ckpts=1,
+                        streams=streams)
 
     report = shadow_run(scenario, seed=6)
     assert not report.diverged, report.format()
 
 
-def test_fig6_fast_path_is_race_clean():
-    sim = make_sim(fast_path=True, packet_trains=True)
+def test_fig6_is_race_clean():
+    sim = Simulator()
     detector = sim.enable_race_detection()
     run_fig6(sim, run_seconds=3, num_ckpts=1)
     assert detector.events_observed > 1000
     assert not detector.races, \
         "\n".join(r.format() for r in detector.races)
-
-
-def test_simple_scenario_identical_event_trace():
-    # A deterministic microworld: every mode must fire the same callbacks
-    # at the same instants in the same order.
-    def run(fast_path):
-        sim = Simulator(fast_path=fast_path)
-        order = []
-        sim.call_at(1 * SECOND, lambda: order.append(("a", sim.now)))
-        doomed = sim.call_at(2 * SECOND, lambda: order.append(("x", sim.now)))
-        sim.call_at(2 * SECOND, lambda: order.append(("b", sim.now)))
-        sim.schedule_fn(2 * SECOND, lambda: order.append(("c", sim.now)))
-        doomed.cancel()
-        sim.run(until=3 * SECOND)
-        return order
-
-    assert run(True) == run(False)

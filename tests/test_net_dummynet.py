@@ -1,5 +1,7 @@
 """Unit tests for Dummynet pipes and delay nodes (shaping + live checkpoint)."""
 
+import json
+import os
 import random
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from repro.errors import CheckpointError, NetworkError
 from repro.net import (DelayNode, Host, LinkShape, Packet, Pipe, PipeConfig,
                        install_shaped_link)
+from repro.net.dummynet import payload_packets_in_flight
 from repro.sim import Simulator
 from repro.units import MBPS, MS, SECOND, US, transmission_time_ns
 
@@ -118,10 +121,19 @@ def test_pipe_double_freeze_rejected():
 
 
 def test_pipe_capture_requires_freeze():
+    # A checkpoint capture is taken frozen: nothing armed.  A running
+    # pipe's payload carries its armed advance call, and a payload that
+    # claims to be frozen while carrying one is rejected.
     sim = Simulator()
     pipe = make_pipe(sim, lambda p: None)
+    pipe.submit(pkt())
+    running = pipe.serialize_state()
+    assert running["advance"] is not None
+    pipe.freeze()
+    assert pipe.serialize_state()["advance"] is None
+    forged = dict(running, frozen=True)
     with pytest.raises(CheckpointError):
-        pipe.capture_state()
+        make_pipe(Simulator(), lambda p: None).restore_serialized(forged)
 
 
 def test_pipe_capture_and_restore_roundtrip():
@@ -133,15 +145,15 @@ def test_pipe_capture_and_restore_roundtrip():
         pipe.submit(pkt(n))
     sim.run(until=2 * MS)
     pipe.freeze()
-    snap = pipe.capture_state()
-    assert snap.packets_in_flight == 5
+    state = json.loads(json.dumps(pipe.serialize_state()))
+    assert payload_packets_in_flight(state) == 5
     # Restore into a fresh pipe and let it drain: same packets, same order.
     sim2 = Simulator()
     out2 = []
     pipe2 = Pipe(sim2, pipe.config, lambda p: out2.append(p.headers["n"]),
                  random.Random(1))
-    pipe2.freeze()
-    pipe2.restore_state(snap)
+    pipe2.restore_serialized(state)
+    assert pipe2.frozen and pipe2.packets_in_flight == 5
     pipe2.thaw()
     sim2.run()
     assert out2 == [0, 1, 2, 3, 4]
@@ -151,11 +163,10 @@ def test_pipe_restore_rejects_config_mismatch():
     sim = Simulator()
     pipe = make_pipe(sim, lambda p: None, bandwidth_bps=10 * MBPS)
     pipe.freeze()
-    snap = pipe.capture_state()
+    state = pipe.serialize_state()
     other = make_pipe(sim, lambda p: None, bandwidth_bps=20 * MBPS)
-    other.freeze()
     with pytest.raises(CheckpointError):
-        other.restore_state(snap)
+        other.restore_serialized(state)
 
 
 def test_delay_node_captures_bandwidth_delay_product():
@@ -176,8 +187,9 @@ def test_delay_node_captures_bandwidth_delay_product():
     # ~25 ms of packets at 1/ms are inside the delay node right now.
     assert node.packets_in_flight >= 20
     node.freeze()
-    snap = node.capture_state()
-    assert snap.packets_in_flight == node.packets_in_flight
+    state = node.serialize_state()
+    assert node.packets_in_flight == sum(
+        payload_packets_in_flight(state[d]) for d in ("forward", "reverse"))
     node.thaw()
     sim.run()
     assert len(got) == 100
@@ -211,3 +223,15 @@ def test_shaped_link_roundtrip_traffic():
     hb.send(Packet("B", "A", "test", 100))
     sim.run()
     assert len(seen["A"]) == 1 and len(seen["B"]) == 1
+
+
+def test_pipe_saturation_matches_scheduler_golden():
+    # 20000 packets through one saturated pipe, every delivery instant and
+    # packet identity hashed: pins the merged-advance pipe driver.
+    from repro.bench.scenarios import run_pipe_saturation
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks",
+                        "results", "SCHEDULER_digests.json")
+    with open(path) as fh:
+        golden = json.load(fh)["scenarios"]["pipe_saturation"]
+    assert run_pipe_saturation(Simulator(), packets=20_000) == golden
