@@ -58,7 +58,7 @@ def _time_run(fn: Callable[[], object]) -> Tuple[float, object]:
 def _bench_event_churn() -> Dict:
     # Never scaled down, so quick and full runs report the same workload.
     # Best-of-5 keeps single-sample scheduler jitter out of the reported
-    # rate; the whole scenario stays around a second.
+    # rate.
     events = 200_000
     best = float("inf")
     fired = 0
