@@ -11,8 +11,9 @@ Subcommands:
 * ``lint``      — the determinism sanitizer (per-file rules DET001–DET008
                   plus whole-program rules DET009/DET010 and CKPT001–003;
                   see docs/determinism.md and docs/static-analysis.md)
-* ``bench``     — event-core performance benchmarks, gated on stored
-                  golden digests (writes ``BENCH_sim_core.json``; see
+* ``bench``     — the snapshot measurements: restore vs replay and the
+                  durable store's overhead, gated on deterministic
+                  counters (writes ``BENCH_sim_core.json``; see
                   docs/performance.md)
 * ``faults``    — seeded fault-storm: a lossy control bus plus a node
                   crash mid-save must not stop a supervised checkpoint;
@@ -151,15 +152,9 @@ def cmd_lint(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from repro.bench import run_bench, run_profile
+    from repro.bench import run_bench
 
-    if args.scenario_file:
-        from repro.bench.runner import run_scenario_bench
-
-        return run_scenario_bench(args.scenario_file, quick=args.quick)
-    if args.profile:
-        return run_profile(json_output=args.output)
-    return run_bench(quick=args.quick, output=args.output)
+    return run_bench(output=args.output)
 
 
 def cmd_scenario(args) -> int:
@@ -219,6 +214,8 @@ def cmd_sweep(args) -> int:
 #: simulators with no testbed, so there is no tracer to thread through.
 TRACE_SCENARIOS = ("ckpt10_coordinated", "ckpt10_faultstorm", "fig4_sleep",
                    "fig5_cpuburn", "fig6_iperf", "fig7_bittorrent")
+#: the traced scenarios whose default run has a PIPELINE golden
+TRACE_GOLDENS = ("ckpt10_coordinated", "fig4_sleep", "fig5_cpuburn")
 
 
 def cmd_trace(args) -> int:
@@ -234,7 +231,7 @@ def cmd_trace(args) -> int:
         records = sink.records
         digest, golden = report.digest, None
     else:
-        from repro.bench.runner import _golden_digests
+        from repro.analysis.digest import golden_digest
         from repro.bench.scenarios import (run_ckpt10, run_fig4, run_fig5,
                                            run_fig6, run_fig7)
         from repro.sim import Simulator
@@ -246,7 +243,8 @@ def cmd_trace(args) -> int:
         tracer = Tracer(clock=lambda: sim.now, sink=ListSink())
         digest = runners[args.scenario](sim, tracer=tracer)
         records = tracer.records
-        golden = _golden_digests("PIPELINE").get(args.scenario)
+        golden = (golden_digest("PIPELINE", args.scenario)
+                  if args.scenario in TRACE_GOLDENS else None)
 
     count = write_chrome_trace(records, args.out)
     print(f"{args.scenario}: {len(records)} trace records -> "
@@ -267,14 +265,9 @@ def cmd_faults(args) -> int:
     if args.verify_off:
         # A disabled injector attached to the full distributed checkpoint
         # must not move the golden digest by a single bit.
-        import json
+        from repro.analysis.digest import golden_digest
 
-        golden_path = os.path.join(
-            os.path.dirname(os.path.dirname(os.path.dirname(
-                os.path.abspath(__file__)))),
-            "benchmarks", "results", "PIPELINE_digests.json")
-        with open(golden_path) as fh:
-            golden = json.load(fh)["scenarios"]["ckpt10_coordinated"]
+        golden = golden_digest("PIPELINE", "ckpt10_coordinated")
         digest = run_fault_free_ckpt10()
         ok = digest == golden
         print(f"faults-off ckpt10 digest: {digest}")
@@ -515,22 +508,11 @@ def main(argv=None) -> int:
                            "from FILE")
     lint.add_argument("--write-baseline", metavar="FILE",
                       help="record the current findings to FILE and exit 0")
-    bench = sub.add_parser("bench", help="event-core performance benchmarks")
-    bench.add_argument("--quick", action="store_true",
-                       help="smaller workloads (CI smoke run)")
+    bench = sub.add_parser("bench", help="snapshot restore and durable-"
+                                         "store measurements")
     bench.add_argument("--output", metavar="PATH",
                        help="JSON artifact path (default: "
-                            "BENCH_sim_core.json at repo root; with "
-                            "--profile: benchmarks/results/"
-                            "PROFILE_sim_core.json)")
-    bench.add_argument("--profile", action="store_true",
-                       help="profile the event loop instead: hot-spot "
-                            "attribution + trace record counts, written "
-                            "as a JSON report")
-    bench.add_argument("--scenario-file", metavar="PATH",
-                       help="bench a declarative scenario file instead of "
-                            "the built-in registry: run it twice and "
-                            "assert the digests agree")
+                            "BENCH_sim_core.json at repo root)")
     scenario = sub.add_parser("scenario",
                               help="run one declarative scenario file "
                                    "(docs/scenarios.md)")

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from typing import Any, Tuple
+
+from repro.errors import ReproError
 
 
 def tcp_digest(connection) -> Tuple:
@@ -90,3 +93,26 @@ def coordinated_result_parts(results) -> list:
     return [("coord", r.suspend_skew_ns, r.resume_skew_ns,
              r.core_packets_captured, r.endpoint_packets_replayed,
              r.wall_duration_ns) for r in results]
+
+
+def golden_digest(table: str, scenario: str) -> str:
+    """The stored golden for ``scenario`` in ``benchmarks/results``.
+
+    ``table`` names the file: ``"PIPELINE"`` reads
+    ``PIPELINE_digests.json``.  A missing or unreadable file, a missing
+    entry, or an entry that is not a digest raises :class:`ReproError`,
+    so a gate can never pass against an absent golden.
+    """
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__))))),
+        "benchmarks", "results", f"{table}_digests.json")
+    try:
+        with open(path) as fh:
+            digest = json.load(fh)["scenarios"][scenario]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ReproError(
+            f"no golden digest for {scenario!r} in {path}: {exc!r}") from exc
+    if not isinstance(digest, str) or len(digest) != 64:
+        raise ReproError(f"golden digest for {scenario!r} in {path} is "
+                         f"not a sha256 hex digest: {digest!r}")
+    return digest

@@ -1,11 +1,11 @@
-"""Benchmark scenarios: kernel microbenchmarks and the paper's figure rigs.
+"""Scenario rigs: the paper's figure rigs and two kernel stress loads.
 
 Every scenario builds its world through the public API on a caller-supplied
 :class:`~repro.sim.core.Simulator`.  The figure scenarios return an
 :func:`~repro.analysis.digest.experiment_digest` (or a hash over one plus
-checkpoint timings), which the equivalence tests and ``repro bench``
-compare against the stored goldens in ``benchmarks/results/``
-(``PIPELINE_digests.json`` and ``SCHEDULER_digests.json``).
+checkpoint timings), which the equivalence tests compare against the
+stored goldens in ``benchmarks/results/`` (``PIPELINE_digests.json`` and
+``SCHEDULER_digests.json``).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import hashlib
 from typing import Optional, Tuple
 
 from repro.analysis.digest import (branch_digest, checkpoint_result_parts,
+                                   coordinated_result_parts,
                                    experiment_digest, hash_parts)
 from repro.sim import Simulator
 from repro.sim.random import RandomStreams
@@ -23,29 +24,7 @@ from repro.testbed.schedule import (periodic_coordinated_checkpoints,
 from repro.units import GB, GBPS, MB, MBPS, MS, SECOND, US
 
 
-# -- kernel microbenchmarks ----------------------------------------------------
-
-
-def run_event_churn(sim: Simulator, events: int = 200_000,
-                    chains: int = 64) -> int:
-    """Schedule-and-fire churn: ``chains`` self-rescheduling callbacks.
-
-    Models the steady-state heap load of a busy experiment: a bounded set
-    of concurrent activities, each rescheduling itself after firing.
-    Returns the number of callbacks fired.
-    """
-    state = {"fired": 0}
-    limit = events
-
-    def tick() -> None:
-        state["fired"] += 1
-        if state["fired"] <= limit - chains:
-            sim.schedule_fn(sim.now + 1000, tick)
-
-    for i in range(chains):
-        sim.schedule_fn(sim.now + 10 + i, tick)
-    sim.run()
-    return state["fired"]
+# -- kernel stress loads ------------------------------------------------------
 
 
 def run_timer_storm(sim: Simulator, rounds: int = 400,
@@ -59,7 +38,8 @@ def run_timer_storm(sim: Simulator, rounds: int = 400,
     deletion + compaction keep it within a small multiple of the
     ``rounds`` live timers.  Returns (timers armed, timers fired, peak
     ``sim.pending_count`` sampled after each round's cancels) — the peak
-    is deterministic, so ``repro bench`` gates on it exactly.
+    is deterministic, so ``tests/test_sim_fastpath.py`` gates on it
+    exactly.
     """
     svc = SimTimerService(sim)
     state = {"fired": 0}
@@ -171,16 +151,6 @@ def build_fig7_rig(sim: Simulator, num_nodes: int = 4,
     return testbed, exp
 
 
-def _periodic_checkpoints(sim: Simulator, experiment, period_ns: int,
-                          count: int, start_at_ns: int) -> list:
-    # Shared with the scenario-DSL compiler: the generator shape is part
-    # of the golden-digest contract (see repro/testbed/schedule.py).
-    return periodic_coordinated_checkpoints(sim, experiment,
-                                            period_ns=period_ns,
-                                            count=count,
-                                            start_at_ns=start_at_ns)
-
-
 def run_fig6(sim: Simulator, run_seconds: int = 20, num_ckpts: int = 3,
              seed: int = 6,
              streams: Optional[RandomStreams] = None, tracer=None) -> str:
@@ -198,8 +168,9 @@ def run_fig6(sim: Simulator, run_seconds: int = 20, num_ckpts: int = 3,
     session = IperfSession(sender, receiver)
     session.start()
     start = sim.now
-    _periodic_checkpoints(sim, exp, period_ns=4 * SECOND, count=num_ckpts,
-                          start_at_ns=start + 3 * SECOND)
+    periodic_coordinated_checkpoints(sim, exp, period_ns=4 * SECOND,
+                                     count=num_ckpts,
+                                     start_at_ns=start + 3 * SECOND)
     sim.run(until=start + run_seconds * SECOND)
     session.stop()
     sim.run(until=sim.now + 200 * MS)
@@ -219,8 +190,9 @@ def run_fig7(sim: Simulator, run_seconds: int = 25, num_ckpts: int = 3,
                             rng=testbed.streams.stream("bt"))
     swarm.start()
     start = sim.now
-    _periodic_checkpoints(sim, exp, period_ns=5 * SECOND, count=num_ckpts,
-                          start_at_ns=start + 5 * SECOND)
+    periodic_coordinated_checkpoints(sim, exp, period_ns=5 * SECOND,
+                                     count=num_ckpts,
+                                     start_at_ns=start + 5 * SECOND)
     sim.run(until=start + run_seconds * SECOND)
     return experiment_digest(exp)
 
@@ -231,10 +203,6 @@ def run_fig7(sim: Simulator, run_seconds: int = 25, num_ckpts: int = 3,
 # their values were captured on the pre-pipeline monolithic implementation
 # and must stay bit-identical (see tests/test_pipeline_equivalence.py and
 # benchmarks/results/PIPELINE_digests.json).
-
-
-def _hash_parts(parts) -> str:
-    return hash_parts(parts)
 
 
 def build_single_node_rig(sim: Simulator, seed: int, memory: int = 128 * MB,
@@ -250,17 +218,6 @@ def build_single_node_rig(sim: Simulator, seed: int, memory: int = 128 * MB,
         "bench", nodes=[NodeSpec("node0", memory_bytes=memory)]))
     sim.run(until=exp.swap_in())
     return testbed, exp
-
-
-def _periodic_local_checkpoints(sim: Simulator, checkpointer, period_ns: int,
-                                count: int, start_at_ns: int) -> list:
-    return periodic_local_checkpoints(sim, checkpointer,
-                                      period_ns=period_ns, count=count,
-                                      start_at_ns=start_at_ns)
-
-
-def _checkpoint_result_parts(results) -> list:
-    return checkpoint_result_parts(results)
 
 
 def run_fig4(sim: Simulator, iterations: int = 600, num_ckpts: int = 3,
@@ -281,16 +238,16 @@ def run_fig4(sim: Simulator, iterations: int = 600, num_ckpts: int = 3,
     kernel = exp.kernel("node0")
     bench = SleeperBenchmark(kernel, iterations=iterations)
     bench.start()
-    results = _periodic_local_checkpoints(
+    results = periodic_local_checkpoints(
         sim, exp.node("node0").checkpointer, period_ns=3 * SECOND,
         count=num_ckpts, start_at_ns=sim.now + 2 * SECOND)
     sim.run(until=bench.join())
     parts = [experiment_digest(exp)]
-    parts.extend(_checkpoint_result_parts(results))
+    parts.extend(checkpoint_result_parts(results))
     parts.append(("sleeper", len(bench.result.iteration_ns),
                   sum(bench.result.iteration_ns),
                   max(bench.result.iteration_ns)))
-    return _hash_parts(parts)
+    return hash_parts(parts)
 
 
 def run_fig5(sim: Simulator, iterations: int = 30, num_ckpts: int = 3,
@@ -304,16 +261,16 @@ def run_fig5(sim: Simulator, iterations: int = 30, num_ckpts: int = 3,
     bench = CpuBurnBenchmark(exp.kernel("node0"), 236_600_000,
                              iterations=iterations)
     bench.start()
-    results = _periodic_local_checkpoints(
+    results = periodic_local_checkpoints(
         sim, exp.node("node0").checkpointer, period_ns=2 * SECOND,
         count=num_ckpts, start_at_ns=sim.now + 1 * SECOND)
     sim.run(until=bench.join())
     parts = [experiment_digest(exp)]
-    parts.extend(_checkpoint_result_parts(results))
+    parts.extend(checkpoint_result_parts(results))
     parts.append(("cpuburn", len(bench.result.iteration_ns),
                   sum(bench.result.iteration_ns),
                   max(bench.result.iteration_ns)))
-    return _hash_parts(parts)
+    return hash_parts(parts)
 
 
 def run_fig8(sim: Simulator, file_mb: int = 96, seed: int = 8) -> str:
@@ -355,7 +312,7 @@ def run_fig8(sim: Simulator, file_mb: int = 96, seed: int = 8) -> str:
         parts.append((config_name, throughput, config_sim.now))
         if branch is not None:
             parts.append(branch_digest(branch))
-    return _hash_parts(parts)
+    return hash_parts(parts)
 
 
 def run_ckpt10(sim: Simulator, num_nodes: int = 10, run_seconds: int = 8,
@@ -366,8 +323,7 @@ def run_ckpt10(sim: Simulator, num_nodes: int = 10, run_seconds: int = 8,
 
     All ``num_nodes`` guests sit on one shaped LAN running sleep-loop
     workloads; one clock-scheduled coordinated checkpoint runs mid-way.
-    Tracks the checkpoint-path wall-clock cost alongside the event-core
-    numbers in ``BENCH_sim_core.json``.  ``faults``/``reliability``/
+    ``faults``/``reliability``/
     ``tracer`` exist for the fault-free equivalence gate: attaching a
     disabled injector must not move the digest.
     """
@@ -382,11 +338,9 @@ def run_ckpt10(sim: Simulator, num_nodes: int = 10, run_seconds: int = 8,
     for bench in benches:
         bench.start()
     start = sim.now
-    results = _periodic_checkpoints(sim, exp, period_ns=3 * SECOND, count=1,
-                                    start_at_ns=start + 2 * SECOND)
+    results = periodic_coordinated_checkpoints(
+        sim, exp, period_ns=3 * SECOND, count=1,
+        start_at_ns=start + 2 * SECOND)
     sim.run(until=start + run_seconds * SECOND)
-    parts = [experiment_digest(exp)]
-    parts.extend(("coord", r.suspend_skew_ns, r.resume_skew_ns,
-                  r.core_packets_captured, r.endpoint_packets_replayed,
-                  r.wall_duration_ns) for r in results)
-    return _hash_parts(parts)
+    return hash_parts([experiment_digest(exp),
+                       *coordinated_result_parts(results)])

@@ -89,9 +89,11 @@ class TemporalFirewall:
         # 2. Stop kernel threads and workqueue workers.
         yield kernel.sim.timeout(self._step_cost())
         kernel.stop_kernel_execution()
-        # 3. Close dispatch gates for IRQs, softirqs, and timer jobs.
+        # 3. Close dispatch gates for IRQs, softirqs, and timer jobs.  A
+        #    timer expiring before step 4 stays pending on the wheel.
         yield kernel.sim.timeout(self._step_cost())
         kernel.gates.close(INSIDE_FIREWALL)
+        kernel.timers.hold()
         # 4. Freeze the timer wheel (no jobs can be dispatched anyway, but
         #    pending deadlines must survive the downtime unchanged).
         yield kernel.sim.timeout(self._step_cost())

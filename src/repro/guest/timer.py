@@ -89,6 +89,7 @@ class VirtualTimerWheel:
         #: a snapshot can re-insert the batch with its original triple
         self._due_seqs: Dict[int, int] = {}
         self._frozen = False
+        self._held = False
         self._version = 0
 
     # -- TimerService interface --------------------------------------------------
@@ -127,7 +128,10 @@ class VirtualTimerWheel:
                 return                      # wheel was frozen since arming
             self._due_calls.pop(fire_at, None)
             self._due_seqs.pop(fire_at, None)
-            for due in self._due.pop(fire_at, ()):
+            batch = self._due.pop(fire_at, ())
+            if self._held:
+                return                      # stays pending until freeze()
+            for due in batch:
                 if version != self._version:
                     return                  # froze mid-batch; rest re-arm at thaw
                 if due not in self._pending:
@@ -186,6 +190,17 @@ class VirtualTimerWheel:
             del self._pending[entry]
         return len(self._pending)
 
+    def hold(self) -> None:
+        """Stop dispatching expiries; the next :meth:`freeze` takes them.
+
+        The temporal firewall closes the timer dispatch gate one step
+        before it freezes the wheel.  A timer expiring in between is
+        left pending, as a real kernel leaves the timer softirq pending:
+        :meth:`freeze` captures it with zero time remaining and
+        :meth:`thaw` fires it once the gates are open again.
+        """
+        self._held = True
+
     def freeze(self) -> None:
         """Hold all pending timers; nothing fires until :meth:`thaw`.
 
@@ -197,6 +212,7 @@ class VirtualTimerWheel:
         if self._frozen:
             raise ClockError(f"timer wheel {self.name} already frozen")
         self._frozen = True
+        self._held = False
         self._version += 1                  # disarm any batch mid-flight
         for call in self._due_calls.values():
             call.cancel()                   # reclaim the scheduled batches

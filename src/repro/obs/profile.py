@@ -1,4 +1,4 @@
-"""Event-loop hot-spot attribution for ``repro bench --profile``.
+"""Event-loop dispatch counting and hot-spot attribution.
 
 A :class:`LoopProfiler` hangs off ``Simulator.profiler`` (``None`` by
 default — the fast path pays a single attribute check, same pattern as
@@ -9,6 +9,8 @@ the elapsed wall time to the callback's qualified name.
 This is *host-side* measurement only: it observes how long the Python
 interpreter spent inside each handler and never touches simulated time,
 RNG streams, or the event heap, so profiled runs keep their digests.
+``repro bench`` reads its ``dispatches`` count to gate snapshot restore
+against replay; perfbench's ``--trace 1`` reads it for ``sim.events``.
 """
 
 from __future__ import annotations

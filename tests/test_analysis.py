@@ -81,3 +81,15 @@ def test_formatters():
     assert fmt_s(2_500_000_000) == "2.5 s"
     assert fmt_mbps(53.25) == "53.25 MB/s"
     assert fmt_pct(0.166) == "16.6%"
+
+
+def test_golden_digest_reads_stored_tables_and_raises_when_absent():
+    from repro.analysis.digest import golden_digest
+    from repro.errors import ReproError
+
+    assert len(golden_digest("PIPELINE", "fig4_sleep")) == 64
+    assert len(golden_digest("SCHEDULER", "pipe_saturation")) == 64
+    with pytest.raises(ReproError, match="no golden digest"):
+        golden_digest("PIPELINE", "no_such_scenario")
+    with pytest.raises(ReproError, match="no golden digest"):
+        golden_digest("NO_SUCH_TABLE", "fig4_sleep")

@@ -7,11 +7,12 @@ object graph, so every digest here is an equality between a DSL run and
 a hand-wired run — and, where a golden exists, the stored golden too.
 """
 
-import json
 import os
 
 import pytest
 
+from repro.__main__ import main
+from repro.analysis.digest import golden_digest
 from repro.bench.scenarios import run_ckpt10, run_fig4
 from repro.sim import Simulator
 from repro.testbed.compile import compile_scenario, run_scenario_file
@@ -19,12 +20,6 @@ from repro.testbed.dsl import load_scenario
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir,
                             "examples", "scenarios")
-GOLDEN_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
-                           "benchmarks", "results", "PIPELINE_digests.json")
-
-with open(GOLDEN_PATH) as _fh:
-    GOLDEN = json.load(_fh)["scenarios"]
-
 
 def scenario_path(name: str) -> str:
     return os.path.join(SCENARIO_DIR, name)
@@ -34,14 +29,14 @@ def test_fig4_matches_hand_wired_and_golden():
     result = run_scenario_file(scenario_path("fig4.toml"), sim=Simulator())
     hand = run_fig4(Simulator())
     assert result.digest == hand
-    assert result.digest == GOLDEN["fig4_sleep"]
+    assert result.digest == golden_digest("PIPELINE", "fig4_sleep")
     assert result.recipe == "local-parts"
 
 
 def test_fig4_race_detector_clean():
     result = run_scenario_file(scenario_path("fig4.toml"), race=True)
     assert result.races == 0
-    assert result.digest == GOLDEN["fig4_sleep"]
+    assert result.digest == golden_digest("PIPELINE", "fig4_sleep")
 
 
 def test_ckpt10_matches_hand_wired_and_golden():
@@ -49,7 +44,7 @@ def test_ckpt10_matches_hand_wired_and_golden():
         scenario_path("ckpt10_coordinated.toml"), sim=Simulator())
     hand = run_ckpt10(Simulator())
     assert result.digest == hand
-    assert result.digest == GOLDEN["ckpt10_coordinated"]
+    assert result.digest == golden_digest("PIPELINE", "ckpt10_coordinated")
     assert result.recipe == "coordinated-parts"
     assert result.details["checkpoints"] == 1
 
@@ -91,20 +86,10 @@ def test_world_scenario_durable_commits(tmp_path):
     assert len(result.details["committed"]) >= 2
 
 
-def test_bench_scenario_file_cli(capsys):
-    from repro.bench.runner import run_scenario_bench
-
-    assert run_scenario_bench(scenario_path("fig4.toml")) == 0
-    out = capsys.readouterr().out
-    assert "run-to-run determinism: OK" in out
-
-
-def test_bench_rejects_broken_file(tmp_path, capsys):
-    from repro.bench.runner import run_scenario_bench
-
+def test_scenario_cli_rejects_broken_file(tmp_path, capsys):
     bad = tmp_path / "bad.toml"
     bad.write_text('[scenario]\nname = "x"\nbogus = 1\n')
-    assert run_scenario_bench(str(bad)) == 2
+    assert main(["scenario", str(bad)]) == 2
     assert "scenario error" in capsys.readouterr().out
 
 

@@ -11,28 +11,20 @@ Also here: shadow-run convergence (no hidden ordering dependence) and
 event-race cleanliness of a rig run.
 """
 
-import json
-import os
-
+from repro.analysis.digest import golden_digest
 from repro.bench.scenarios import run_fig6, run_fig7
 from repro.lint.runtime import shadow_run
 from repro.sim import Simulator
 
-GOLDEN_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
-                           "benchmarks", "results", "SCHEDULER_digests.json")
-
-with open(GOLDEN_PATH) as _fh:
-    GOLDEN = json.load(_fh)["scenarios"]
-
 
 def test_fig6_matches_scheduler_golden():
     digest = run_fig6(Simulator(), run_seconds=5, num_ckpts=1)
-    assert digest == GOLDEN["fig6_iperf"]
+    assert digest == golden_digest("SCHEDULER", "fig6_iperf")
 
 
 def test_fig7_matches_scheduler_golden():
     digest = run_fig7(Simulator(), run_seconds=8, num_ckpts=1)
-    assert digest == GOLDEN["fig7_bittorrent"]
+    assert digest == golden_digest("SCHEDULER", "fig7_bittorrent")
 
 
 def test_fig6_shadow_run_converges():

@@ -127,6 +127,42 @@ def test_firewall_raise_window_is_microseconds():
     assert 0 < kernel.firewall.last_thaw_window_ns < 100 * US
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_sleep_expiring_between_gate_close_and_wheel_freeze_wakes_once(seed):
+    # The firewall closes the dispatch gates (step 3) one step before it
+    # freezes the timer wheel (step 4).  A sleep expiring in between must
+    # not raise: it stays pending and wakes once, right after the thaw.
+    # Dispatch slack and clock-rebase jitter are zeroed so the lateness
+    # measured is the window's alone.
+    sim = Simulator()
+    kernel = make_kernel(sim, seed=seed)
+    kernel.timers.max_slack_ns = 0
+    kernel.vclock.rebase_jitter_ns = 0
+    firewall = kernel.firewall
+    firewall.rng = random.Random(seed)
+    probe = random.Random(seed)       # replays the firewall's step draws
+    steps = [probe.randint(firewall.min_step_cost_ns,
+                           firewall.max_step_cost_ns) for _ in range(4)]
+    raise_at = 1 * MS
+    gates_closed_at = raise_at + sum(steps[:3])
+    deadline = gates_closed_at + steps[3] // 2      # before the freeze
+    woke = []
+
+    def sleeper():
+        yield kernel.sleep(deadline)
+        woke.append(kernel.now())
+
+    sim.process(sleeper())
+    sim.run(until=raise_at)
+    drive_firewall(sim, kernel, up_for_ns=10 * MS)
+    sim.run(until=1 * SECOND)
+    assert kernel.gates.violations == 0
+    assert len(woke) == 1
+    lateness = woke[0] - deadline
+    assert 0 < lateness <= (firewall.last_freeze_window_ns
+                            + firewall.last_thaw_window_ns)
+
+
 def test_firewall_double_raise_rejected():
     sim = Simulator()
     kernel = make_kernel(sim)

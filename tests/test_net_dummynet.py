@@ -1,7 +1,6 @@
 """Unit tests for Dummynet pipes and delay nodes (shaping + live checkpoint)."""
 
 import json
-import os
 import random
 
 import pytest
@@ -228,10 +227,8 @@ def test_shaped_link_roundtrip_traffic():
 def test_pipe_saturation_matches_scheduler_golden():
     # 20000 packets through one saturated pipe, every delivery instant and
     # packet identity hashed: pins the merged-advance pipe driver.
+    from repro.analysis.digest import golden_digest
     from repro.bench.scenarios import run_pipe_saturation
 
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks",
-                        "results", "SCHEDULER_digests.json")
-    with open(path) as fh:
-        golden = json.load(fh)["scenarios"]["pipe_saturation"]
-    assert run_pipe_saturation(Simulator(), packets=20_000) == golden
+    assert run_pipe_saturation(Simulator(), packets=20_000) == \
+        golden_digest("SCHEDULER", "pipe_saturation")

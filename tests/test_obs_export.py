@@ -1,10 +1,11 @@
 """Chrome/Perfetto timeline export + the ``repro trace`` acceptance path."""
 
 import json
+import os
 
 import pytest
 
-from repro.obs import (ListSink, SpanRecord, TraceRecord, Tracer,
+from repro.obs import (JsonlSink, ListSink, SpanRecord, TraceRecord, Tracer,
                        chrome_trace_events, write_chrome_trace)
 from repro.obs.export import instant_track
 
@@ -79,19 +80,40 @@ def test_write_chrome_trace_is_valid_json(tmp_path):
 # acceptance: ckpt10 traced end to end
 # ---------------------------------------------------------------------------
 
-def test_traced_ckpt10_covers_all_stages_on_all_nodes_and_keeps_golden():
-    from repro.bench.runner import _golden_digests
+#: tracer configurations the traced ckpt10 run must survive unchanged: a
+#: retaining sink, a filter that rejects every category (only the hoisted
+#: ``enabled_for`` check runs), and a streaming sink that keeps nothing
+TRACER_CONFIGS = {
+    "list": lambda sim: Tracer(clock=lambda: sim.now, sink=ListSink()),
+    "filtered": lambda sim: Tracer(clock=lambda: sim.now, categories=()),
+    "jsonl": lambda sim: Tracer(clock=lambda: sim.now,
+                                sink=JsonlSink(os.devnull)),
+}
+
+
+@pytest.mark.parametrize("config", sorted(TRACER_CONFIGS))
+def test_traced_ckpt10_covers_all_stages_on_all_nodes_and_keeps_golden(
+        config):
+    from repro.analysis.digest import golden_digest
     from repro.bench.scenarios import run_ckpt10
     from repro.sim import Simulator
 
     sim = Simulator()
-    tracer = Tracer(clock=lambda: sim.now, sink=ListSink())
+    tracer = TRACER_CONFIGS[config](sim)
     digest = run_ckpt10(sim, tracer=tracer)
-
-    golden = _golden_digests("PIPELINE").get("ckpt10_coordinated")
-    if golden is not None:
-        # Tracing must not move the stored golden by a single bit.
-        assert digest == golden
+    tracer.sink.close()
+    # Tracing must not move the stored golden by a single bit.
+    assert digest == golden_digest("PIPELINE", "ckpt10_coordinated")
+    if config == "filtered":
+        assert not tracer.category_counts
+        return
+    # The same records reach the sink however it keeps them.
+    assert tracer.category_counts == {"checkpoint.stage": 280,
+                                      "checkpoint.round": 3,
+                                      "checkpoint.session": 1}
+    if config == "jsonl":
+        assert tracer.sink.emitted == sum(tracer.category_counts.values())
+        return
 
     events = chrome_trace_events(tracer.records)
     stages = {}

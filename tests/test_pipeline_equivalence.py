@@ -4,24 +4,17 @@ The digests below were captured on the pre-pipeline monolithic checkpoint
 implementation (``benchmarks/results/PIPELINE_digests.json``).  Each
 scenario drives a checkpoint consumer that now runs on
 :mod:`repro.checkpoint.pipeline`; a digest change means the port perturbed
-event order, rng draws, or checkpoint semantics.  ``repro bench`` enforces
-the same gate (see ``_bench_golden``), so CI fails on drift even when run
-in quick mode.
+event order, rng draws, or checkpoint semantics.  This suite is the one
+gate on these four goldens; ``repro trace`` and ``repro faults
+--verify-off`` re-check fig4/fig5/ckpt10 under tracing and a disabled
+fault injector.
 """
-
-import json
-import os
 
 import pytest
 
+from repro.analysis.digest import golden_digest
 from repro.bench.scenarios import run_ckpt10, run_fig4, run_fig5, run_fig8
 from repro.sim import Simulator
-
-GOLDEN_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
-                           "benchmarks", "results", "PIPELINE_digests.json")
-
-with open(GOLDEN_PATH) as _fh:
-    GOLDEN = json.load(_fh)["scenarios"]
 
 SCENARIOS = {
     "fig4_sleep": run_fig4,              # local checkpoints (LocalCheckpointer)
@@ -34,7 +27,8 @@ SCENARIOS = {
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_digest_bit_identical_to_pre_pipeline_golden(name):
     digest = SCENARIOS[name](Simulator())
-    assert digest == GOLDEN[name], (
+    golden = golden_digest("PIPELINE", name)
+    assert digest == golden, (
         f"{name}: checkpoint-pipeline port changed observable behaviour "
-        f"(got {digest}, golden {GOLDEN[name]})")
+        f"(got {digest}, golden {golden})")
 

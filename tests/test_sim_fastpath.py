@@ -160,12 +160,14 @@ def test_fast_mode_drains_without_running_cancelled_work():
 
 
 def test_timer_storm_peak_pending_within_ceiling():
-    # The deterministic counter `repro bench` gates on: 400 rounds of 250
-    # arms / 249 cancels leave 400 live timers, and tombstone reclamation
-    # keeps the store below the checked-in ceiling throughout.
-    from repro.bench.runner import _TIMER_STORM_PEAK_CEILING
+    # 400 rounds of 250 arms / 249 cancels leave 400 live timers, and
+    # tombstone reclamation keeps the event store below the ceiling
+    # throughout.  The peak is deterministic, so exceeding it means
+    # reclamation regressed, not that the host was busy.  748 is the value
+    # measured when this gate was set; it is a literal so that a failing
+    # run can never ratchet its own ceiling.
     from repro.bench.scenarios import run_timer_storm
 
     armed, fired, peak = run_timer_storm(Simulator(), rounds=400)
     assert (armed, fired) == (100_000, 400)
-    assert 400 <= peak <= _TIMER_STORM_PEAK_CEILING
+    assert 400 <= peak <= 748
