@@ -65,6 +65,8 @@ class GuestTSC:
         self.oscillator = oscillator
         self._restricted = False
         self._frozen_value = 0
+        #: ticks counted while restricted, never shown to the guest
+        self._hidden = 0
 
     @property
     def restricted(self) -> bool:
@@ -88,11 +90,10 @@ class GuestTSC:
             raise ClockError("guest TSC is not restricted")
         self._restricted = False
         # Everything the hardware counted while frozen becomes invisible.
-        self._hidden = getattr(self, "_hidden", 0)
         self._hidden += self.oscillator.read() - self._frozen_value
 
     def read(self) -> int:
         """Guest RDTSC."""
         if self._restricted:
             return self._frozen_value
-        return self.oscillator.read() - getattr(self, "_hidden", 0)
+        return self.oscillator.read() - self._hidden

@@ -2,10 +2,13 @@
 
 Xen exposes time to guests through a shared-info page (wall clock + system
 time + a TSC snapshot) that it updates periodically; guests interpolate
-with RDTSC between updates (§4.2).  During a checkpoint the hypervisor
-stops page updates, restricts the guest TSC, and suspends run-state
-accounting — those are the hooks :class:`Domain` wires into the guest
-kernel's ``on_time_frozen`` / ``on_time_thawed`` callbacks.
+with RDTSC between updates (§4.2).  Here the page is refreshed when it is
+read, and only once it is a full update period old, so a hypervisor
+schedules no events and the page is never staler than a periodic update
+would leave it.  During a checkpoint the hypervisor takes a last page
+update, stops page updates, restricts the guest TSC, and suspends
+run-state accounting — those are the hooks :class:`Domain` wires into the
+guest kernel's ``on_time_frozen`` / ``on_time_thawed`` callbacks.
 """
 
 from __future__ import annotations
@@ -41,12 +44,14 @@ class SharedInfoPage:
 
     ``system_time_ns`` is the guest's virtual system time at the moment of
     the last update, paired with the TSC value then; the guest interpolates
-    between updates by scaling TSC deltas.
+    between updates by scaling TSC deltas.  ``updated_at_ns`` is the
+    simulated time of that update, which decides when a read refreshes it.
     """
 
     system_time_ns: int = 0
     wall_time_ns: int = 0
     tsc_at_update: int = 0
+    updated_at_ns: int = 0
     updates: int = 0
     frozen: bool = False
 
@@ -57,19 +62,29 @@ class ParavirtTimeSource:
     Provided alongside the kernel's logical virtual clock to demonstrate
     that the paravirtual ABI and the model agree (tests assert they track
     each other within an update period, and that both freeze together).
+    Each read first brings the page up to date if a periodic update would
+    have refreshed it by now.
     """
 
-    def __init__(self, page: SharedInfoPage, tsc: GuestTSC,
-                 tsc_hz: int) -> None:
-        self.page = page
-        self.tsc = tsc
-        self.tsc_hz = tsc_hz
+    def __init__(self, domain: "Domain") -> None:
+        self.domain = domain
+        self.page = domain.page
+        self.tsc = domain.guest_tsc
+        self.tsc_hz = domain.hypervisor.machine.oscillator.freq_hz
+
+    def _refresh(self) -> None:
+        page = self.page
+        if (not page.frozen and self.domain.sim.now - page.updated_at_ns
+                >= Hypervisor.PAGE_UPDATE_PERIOD_NS):
+            self.domain.hypervisor.update_page(self.domain)
 
     def system_time(self) -> int:
+        self._refresh()
         delta_ticks = self.tsc.read() - self.page.tsc_at_update
         return self.page.system_time_ns + int(delta_ticks * 1e9 / self.tsc_hz)
 
     def wall_time(self) -> int:
+        self._refresh()
         delta_ticks = self.tsc.read() - self.page.tsc_at_update
         return self.page.wall_time_ns + int(delta_ticks * 1e9 / self.tsc_hz)
 
@@ -86,8 +101,7 @@ class Domain:
         self.kernel = kernel
         self.guest_tsc = GuestTSC(hypervisor.machine.oscillator)
         self.page = SharedInfoPage()
-        self.time_source = ParavirtTimeSource(
-            self.page, self.guest_tsc, hypervisor.machine.oscillator.freq_hz)
+        self.time_source = ParavirtTimeSource(self)
         self.xenbus = XenBus(self.sim, kernel)
         self.nics: list[VirtualNIC] = []
         self.vbds: list[VirtualBlockDevice] = []
@@ -114,7 +128,12 @@ class Domain:
     # -- time virtualization --------------------------------------------------------
 
     def _freeze_time_sources(self) -> None:
-        """§4.2: stop page updates, restrict TSC, suspend accounting."""
+        """§4.2: stop page updates, restrict TSC, suspend accounting.
+
+        The page takes one last update first, so frozen reads hold the
+        values of the freeze instant however long the page went unread.
+        """
+        self.hypervisor.update_page(self)
         self.page.frozen = True
         self.guest_tsc.restrict()
         self._account_runstate()
@@ -147,9 +166,10 @@ class Domain:
 class Hypervisor:
     """Xen on one machine: hosts domains, updates their time pages."""
 
-    #: period of shared-info page updates.  Guests interpolate between
-    #: updates with the TSC, so the period bounds event-loop overhead, not
-    #: guest time precision.
+    #: period of shared-info page updates: a read refreshes a page at least
+    #: this old.  Guests interpolate between updates with the TSC, so the
+    #: period bounds how much oscillator drift a reading can carry, not
+    #: its resolution.
     PAGE_UPDATE_PERIOD_NS = 50 * MS
 
     def __init__(self, sim: Simulator, machine: Machine,
@@ -158,7 +178,6 @@ class Hypervisor:
         self.machine = machine
         self.tracer = tracer
         self.domains: Dict[str, Domain] = {}
-        self._updating = False
 
     def create_domain(self, name: str, memory_bytes: int = 256 * MB,
                       rng: Optional[random.Random] = None,
@@ -176,9 +195,6 @@ class Hypervisor:
         domain = Domain(self, name, memory_bytes, kernel)
         self.domains[name] = domain
         self.update_page(domain)
-        if not self._updating:
-            self._updating = True
-            self.sim.process(self._page_update_loop())
         return domain
 
     def update_page(self, domain: Domain) -> None:
@@ -188,10 +204,5 @@ class Hypervisor:
         domain.page.system_time_ns = domain.kernel.vclock.now()
         domain.page.wall_time_ns = domain.kernel.vclock.wall_time()
         domain.page.tsc_at_update = domain.guest_tsc.read()
+        domain.page.updated_at_ns = self.sim.now
         domain.page.updates += 1
-
-    def _page_update_loop(self):
-        while True:
-            for domain in self.domains.values():
-                self.update_page(domain)
-            yield self.sim.timeout(self.PAGE_UPDATE_PERIOD_NS)

@@ -171,3 +171,28 @@ def test_timer_storm_peak_pending_within_ceiling():
     armed, fired, peak = run_timer_storm(Simulator(), rounds=400)
     assert (armed, fired) == (100_000, 400)
     assert 400 <= peak <= 748
+
+
+def test_ckpt10_swap_in_dispatches_within_ceiling():
+    # Swapping in the ckpt10 rig (ten 32 MB guests on a 100 Mbps LAN) spans
+    # ~608 simulated seconds of imaging, boot and NTP, and nothing in it
+    # needs periodic work: the shared-info page is refreshed when read.
+    # The count is deterministic, so exceeding it means new periodic work,
+    # not a busy host.  103 is the value measured when this gate was set;
+    # it is a literal so that a failing run can never ratchet its own
+    # ceiling.
+    from repro.testbed import Emulab, ExperimentSpec, NodeSpec, TestbedConfig
+    from repro.testbed.experiment import LanSpec
+    from repro.units import MB, MBPS
+
+    names = [f"node{i}" for i in range(10)]
+    spec = ExperimentSpec(
+        "ckpt10", nodes=[NodeSpec(n, memory_bytes=32 * MB) for n in names],
+        lans=[LanSpec("lan0", tuple(names), bandwidth_bps=100 * MBPS)])
+    sim = Simulator()
+    profiler = sim.enable_profiling()
+    testbed = Emulab(sim, TestbedConfig(num_machines=21, seed=10))
+    experiment = testbed.define_experiment(spec)
+    sim.run(until=experiment.swap_in())
+    assert sim.now > 600 * SECOND
+    assert profiler.dispatches <= 103

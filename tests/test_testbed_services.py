@@ -1,6 +1,7 @@
 """Unit tests for testbed services: RPC, DNS, NFS, and the hypervisor's
 run-state accounting."""
 
+import dataclasses
 import random
 
 import pytest
@@ -127,16 +128,27 @@ def test_runstate_accounting_suspended_during_checkpoint():
 
 
 def test_shared_info_page_updates_periodically_and_pauses_frozen():
+    # The page is refreshed when read, at most once per update period, so
+    # the hypervisor schedules nothing of its own.
     sim = Simulator()
     machine = Machine(sim, "m0", rng=random.Random(4))
     hyp = Hypervisor(sim, machine)
+    pending = sim.pending_count
     domain = hyp.create_domain("d0")
-    sim.run(until=1 * SECOND)
-    updates = domain.page.updates
-    assert updates > 5
+    assert sim.pending_count == pending
+    start = domain.page.updates
+    for step in range(1, 101):              # a read every 10 ms for 1 s
+        sim.run(until=step * 10 * MS)
+        domain.time_source.system_time()
+    assert 5 < domain.page.updates - start <= 21
     domain.page.frozen = True
-    sim.run(until=2 * SECOND)
-    assert domain.page.updates == updates
+    page = dataclasses.replace(domain.page)
+    for step in range(101, 201):
+        sim.run(until=step * 10 * MS)
+        domain.time_source.system_time()
+        domain.time_source.wall_time()
+    assert domain.page == page
     domain.page.frozen = False
-    sim.run(until=3 * SECOND)
-    assert domain.page.updates > updates
+    domain.time_source.wall_time()
+    assert domain.page.updates == page.updates + 1
+    assert domain.page.updated_at_ns == sim.now
