@@ -118,8 +118,10 @@ class TemporalFirewall:
         self.state = FirewallState.LOWERING
         start = kernel.sim.now
         # 5'. Restart time first so nothing executes under a frozen clock.
-        kernel.on_time_thawed()
+        # The clock re-bases before the time sources thaw, so the page
+        # update taken at thaw already records the resumed clock.
         kernel.vclock.thaw()
+        kernel.on_time_thawed()
         self.last_clock_thawed_at_ns = kernel.sim.now
         yield kernel.sim.timeout(self._step_cost())
         # 3'. Re-open the dispatch gates *before* re-arming timers: a

@@ -9,15 +9,18 @@ The model charges:
 Requests are serviced one at a time through a FIFO queue, which is all the
 evaluation workloads need (Bonnie++-style sequential phases, COW redo logs
 with deliberate extra metadata seeks, background mirror synchronization).
+The queue is plain data: a deque of ``(lba, nblocks, write, done)`` whose
+head is in service, plus exactly one armed completion call while the head
+is busy — no process, resource grant or timeout per request.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from repro.errors import StorageError
 from repro.sim.core import Event, Simulator
-from repro.sim.resources import Resource
 from repro.units import transfer_time_ns
 
 
@@ -44,7 +47,11 @@ class Disk:
         self.sim = sim
         self.spec = spec if spec is not None else DiskSpec()
         self.name = name
-        self._head = Resource(sim, capacity=1)
+        #: queued requests ``(lba, nblocks, write, done)``; the head is in
+        #: service and has its completion armed
+        self._queue: deque = deque()
+        #: service time of the request at the head of the queue
+        self._service_ns = 0
         self._last_lba: int = -(10 ** 9)  # force an initial seek
         self.reads = 0
         self.writes = 0
@@ -60,11 +67,11 @@ class Disk:
 
     def read(self, lba: int, nblocks: int = 1) -> Event:
         """Read ``nblocks`` starting at ``lba``; fires when data is in memory."""
-        return self.sim.process(self._io(lba, nblocks, write=False))
+        return self._submit(lba, nblocks, False)
 
     def write(self, lba: int, nblocks: int = 1) -> Event:
         """Write ``nblocks`` starting at ``lba``; fires when on the platter."""
-        return self.sim.process(self._io(lba, nblocks, write=True))
+        return self._submit(lba, nblocks, True)
 
     def service_time_ns(self, lba: int, nblocks: int) -> int:
         """Time this request would take given the current head position."""
@@ -80,11 +87,11 @@ class Disk:
 
         The head position (``last_lba``) shapes every future request's
         service time, so restoring it is required for a restored world's
-        I/O timings to match a replayed one's.  The disk must be idle —
-        an in-flight request lives in coroutine frames the snapshot
-        layer cannot capture.
+        I/O timings to match a replayed one's.  The disk must be idle:
+        a queued request's completion event and armed call are live
+        simulator objects, which a JSON payload cannot carry.
         """
-        if self._head.count or self._head.queued:
+        if self._queue:
             raise StorageError(
                 f"disk {self.name}: cannot serialize with I/O in flight")
         return {"last_lba": self._last_lba, "reads": self.reads,
@@ -98,7 +105,7 @@ class Disk:
                     "bytes_written", "seeks", "busy_ns")
         if not isinstance(state, dict) or set(state) != set(expected):
             raise StorageError(f"disk {self.name}: malformed payload")
-        if self._head.count or self._head.queued:
+        if self._queue:
             raise StorageError(
                 f"disk {self.name}: cannot restore with I/O in flight")
         self._last_lba = state["last_lba"]
@@ -109,28 +116,44 @@ class Disk:
         self.seeks = state["seeks"]
         self.busy_ns = state["busy_ns"]
 
-    def _io(self, lba: int, nblocks: int, write: bool):
+    # -- the request queue -------------------------------------------------------
+
+    def _submit(self, lba: int, nblocks: int, write: bool) -> Event:
         if nblocks <= 0:
             raise StorageError(f"nblocks must be positive, got {nblocks}")
         if lba < 0 or lba + nblocks > self.num_blocks:
             raise StorageError(
                 f"I/O beyond device: lba={lba} nblocks={nblocks} "
                 f"device_blocks={self.num_blocks}")
-        grant = self._head.request()
-        yield grant
-        try:
-            duration = self.service_time_ns(lba, nblocks)
-            if lba != self._last_lba:
-                self.seeks += 1
-            yield self.sim.timeout(duration)
-            self.busy_ns += duration
-            self._last_lba = lba + nblocks
-            nbytes = nblocks * self.spec.block_size
-            if write:
-                self.writes += 1
-                self.bytes_written += nbytes
-            else:
-                self.reads += 1
-                self.bytes_read += nbytes
-        finally:
-            self._head.release(grant)
+        done = Event(self.sim)
+        queue = self._queue
+        queue.append((lba, nblocks, write, done))
+        if len(queue) == 1:
+            self._start(lba, nblocks)
+        return done
+
+    def _start(self, lba: int, nblocks: int) -> None:
+        """Put the head request in service: charge it and arm completion."""
+        duration = self.service_time_ns(lba, nblocks)
+        if lba != self._last_lba:
+            self.seeks += 1
+        self._service_ns = duration
+        sim = self.sim
+        sim.schedule_fn(sim.now + duration, self._complete)
+
+    def _complete(self) -> None:
+        queue = self._queue
+        lba, nblocks, write, done = queue.popleft()
+        self.busy_ns += self._service_ns
+        self._last_lba = lba + nblocks
+        nbytes = nblocks * self.spec.block_size
+        if write:
+            self.writes += 1
+            self.bytes_written += nbytes
+        else:
+            self.reads += 1
+            self.bytes_read += nbytes
+        done.succeed()
+        if queue:
+            head = queue[0]
+            self._start(head[0], head[1])

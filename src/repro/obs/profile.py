@@ -2,9 +2,10 @@
 
 A :class:`LoopProfiler` hangs off ``Simulator.profiler`` (``None`` by
 default — the fast path pays a single attribute check, same pattern as
-the race detector).  When attached, ``Simulator.step`` brackets each
-dispatched callback with host-clock reads and the profiler attributes
-the elapsed wall time to the callback's qualified name.
+the race detector).  When attached, ``Simulator.step`` hands each
+dispatched item to :meth:`LoopProfiler.dispatch`, which brackets it with
+host-clock reads and attributes the elapsed wall time to the qualified
+name of what the item runs.
 
 This is *host-side* measurement only: it observes how long the Python
 interpreter spent inside each handler and never touches simulated time,
@@ -28,7 +29,37 @@ def callable_key(fn: Callable) -> str:
         ...     def poke(self): pass
         >>> callable_key(Widget().poke).endswith('Widget.poke')
         True
+
+    An event is named by what it runs: its first callback, and a process
+    resumption by the process's generator.  Resolve the key *before* the
+    event dispatches — dispatch detaches the callback list.
+
+        >>> from repro.sim import Simulator
+        >>> sim = Simulator()
+        >>> event = sim.event()
+        >>> event.add_callback(Widget().poke)
+        >>> callable_key(event).endswith('Widget.poke')
+        True
+        >>> timer = sim.timeout(5)
+        >>> def sleeper():
+        ...     yield timer
+        >>> _ = sim.process(sleeper())
+        >>> sim.step()                      # the process starts, waits
+        >>> callable_key(timer).endswith('.sleeper')
+        True
+        >>> callable_key(sim.event())
+        'repro.sim.core.Event'
     """
+    callbacks = getattr(fn, "callbacks", None)
+    if callbacks:
+        fn = callbacks[0]
+        generator = getattr(getattr(fn, "__self__", None), "_generator",
+                            None)
+        if generator is not None:
+            frame = generator.gi_frame
+            module = (frame.f_globals.get("__name__", "?")
+                      if frame is not None else "?")
+            return f"{module}.{generator.__qualname__}"
     if hasattr(fn, "__func__"):  # bound method: attribute to the function
         fn = fn.__func__
     module = getattr(fn, "__module__", None) or "?"
@@ -64,8 +95,21 @@ class LoopProfiler:
 
     def end(self, started_ns: int, fn: Callable) -> None:
         """Attribute host time since ``started_ns`` to ``fn``."""
-        elapsed = time.perf_counter_ns() - started_ns  # repro: noqa=DET001 host profiling
+        self._charge(callable_key(fn), started_ns)
+
+    def dispatch(self, fn: Callable[[], None]) -> None:
+        """Run one dispatched item and attribute its host time.
+
+        The key is resolved before ``fn`` runs, so an event is named by
+        the callback it is about to run (see :func:`callable_key`).
+        """
         key = callable_key(fn)
+        started_ns = self.begin()
+        fn()
+        self._charge(key, started_ns)
+
+    def _charge(self, key: str, started_ns: int) -> None:
+        elapsed = time.perf_counter_ns() - started_ns  # repro: noqa=DET001 host profiling
         self.totals_ns[key] = self.totals_ns.get(key, 0) + elapsed
         self.counts[key] = self.counts.get(key, 0) + 1
         self.dispatches += 1

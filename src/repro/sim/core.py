@@ -522,9 +522,7 @@ class Simulator:
                 if self.race_detector is not None:
                     self.race_detector.observe(when, prio, seq, fn)
                 if self.profiler is not None:
-                    t0 = self.profiler.begin()
-                    fn()
-                    self.profiler.end(t0, fn)
+                    self.profiler.dispatch(fn)
                     return
                 fn()
                 return
@@ -535,9 +533,7 @@ class Simulator:
             if self.race_detector is not None:
                 self.race_detector.observe(when, prio, seq, item)
             if self.profiler is not None:
-                t0 = self.profiler.begin()
-                item()
-                self.profiler.end(t0, item)
+                self.profiler.dispatch(item)
                 return
             item()                          # Event or bare scheduled callable
             return

@@ -122,6 +122,10 @@ class BranchStore:
         self._rbw_covered: set = set()
         #: observers of logical writes (swap-out pre-copy dirty tracking)
         self.on_write_hooks: list = []
+        #: demand pager (:class:`~repro.storage.mirror.LazyCopyIn`) of the
+        #: aggregated delta after a lazy swap-in: :meth:`read` faults its
+        #: missing blocks in first; ``None`` without lazy swap-in
+        self.pager = None
 
     # ------------------------------------------------------------------ geometry
 
@@ -142,37 +146,23 @@ class BranchStore:
     # ------------------------------------------------------------------ write path
 
     def write(self, vba: int, nblocks: int = 1) -> Event:
-        """Write ``nblocks`` logical blocks starting at ``vba``."""
-        self._check(vba, nblocks)
-        return self.sim.process(self._write(vba, nblocks))
+        """Write ``nblocks`` logical blocks starting at ``vba``.
 
-    def _write(self, vba: int, nblocks: int):
+        The returned event fails (rather than this call raising) when an
+        injected ``disk_check`` fault fires or an inner I/O fails.
+        """
+        self._check(vba, nblocks)
         if self.faults is not None:
-            self.faults.disk_check(self.name, "write")
-        disk = self.log_extent.disk
+            try:
+                self.faults.disk_check(self.name, "write")
+            except StorageError as exc:
+                return Event(self.sim).fail(exc)
         for hook in self.on_write_hooks:
             hook(range(vba, vba + nblocks))
-        yield self.sim.timeout(nblocks * self.config.translation_ns_per_block)
-        if self.config.cow_mode is CowMode.ORIGINAL_LVM:
-            yield from self._read_before_write(vba, nblocks)
-        # Split the range into runs of fresh blocks (appended to the log,
-        # physically contiguous) and already-logged blocks (overwritten in
-        # place at their existing log slots).
-        for fresh, start, count in self._write_runs(vba, nblocks):
-            if fresh:
-                if self._log_head + count > self.log_extent.nblocks:
-                    raise StorageError(f"{self.name}: redo log full")
-                offset = self._log_head
-                for i in range(count):
-                    self.log_index[start + i] = offset + i
-                self._log_head += count
-                self.stats.log_appends += count
-                yield disk.write(self.log_extent.lba(offset), count)
-                yield from self._maybe_write_metadata(count)
-            else:
-                offset = self.log_index[start]
-                self.stats.in_place_log_writes += count
-                yield disk.write(self.log_extent.lba(offset), count)
+        op = _WriteOp(self, vba, nblocks, self._write_runs(vba, nblocks))
+        op.arm(nblocks * self.config.translation_ns_per_block,
+               op.read_before_write)
+        return op.done
 
     def _write_runs(self, vba: int, nblocks: int
                     ) -> Iterator[Tuple[bool, int, int]]:
@@ -192,42 +182,6 @@ class BranchStore:
         if run_len:
             yield run_fresh, run_start, run_len
 
-    def _read_before_write(self, vba: int, nblocks: int):
-        """Original LVM: fetch original data for not-yet-copied blocks.
-
-        LVM reads the origin at COW-chunk granularity with read-ahead:
-        one ``rbw_batch_blocks`` origin read covers the next batch of
-        first-writes, so sequential writes pay roughly one extra read per
-        batch rather than one per write.
-        """
-        pending = [b for b in range(vba, vba + nblocks)
-                   if b not in self.log_index and b not in self._rbw_covered]
-        if not pending:
-            return
-        self.stats.read_before_write_blocks += len(pending)
-        batch = self.config.rbw_batch_blocks
-        cursor = pending[0]
-        while cursor <= pending[-1]:
-            span = min(batch, self.base.nblocks - cursor)
-            yield self.base.read(cursor, span)
-            self._rbw_covered.update(range(cursor, cursor + span))
-            cursor += span
-
-    def _maybe_write_metadata(self, appended: int):
-        """REDO_LOG: periodic on-disk metadata region update."""
-        if self.config.aged:
-            return
-        self._blocks_since_metadata += appended
-        while self._blocks_since_metadata >= self.config.metadata_interval_blocks:
-            self._blocks_since_metadata -= self.config.metadata_interval_blocks
-            disk = self.log_extent.disk
-            region_lba = min(
-                disk.num_blocks - 2,
-                self.log_extent.start_lba + self.config.metadata_region_stride
-                + (self.stats.metadata_writes % 16) * 1024)
-            self.stats.metadata_writes += 1
-            yield disk.write(region_lba, 1)
-
     # ------------------------------------------------------------------ read path
 
     def read(self, vba: int, nblocks: int = 1) -> Event:
@@ -235,26 +189,16 @@ class BranchStore:
 
         Each run is served by the highest level holding it: current log,
         then aggregated delta, then the golden image (Figure 3's address
-        translation: hash, hash, linear).
+        translation: hash, hash, linear).  With a :attr:`pager` attached,
+        aggregated-delta blocks still on the server are faulted in first,
+        one at a time.
         """
         self._check(vba, nblocks)
-        return self.sim.process(self._read(vba, nblocks))
-
-    def _read(self, vba: int, nblocks: int):
-        yield self.sim.timeout(nblocks * self.config.translation_ns_per_block)
-        for level, start, count in self._read_runs(vba, nblocks):
-            if level == "log":
-                self.stats.reads_from_current += count
-                yield self.log_extent.disk.read(
-                    self.log_extent.lba(self.log_index[start]), count)
-            elif level == "agg":
-                self.stats.reads_from_aggregated += count
-                yield self.aggregated_extent.disk.read(
-                    self.aggregated_extent.lba(self.aggregated_index[start]),
-                    count)
-            else:
-                self.stats.reads_from_base += count
-                yield self.base.read(start, count)
+        op = _ReadOp(self, vba, nblocks, self._read_runs(vba, nblocks))
+        op.cursor = vba
+        op.resume_with(op.fault_in if self.pager is not None
+                       else op.translate)
+        return op.done
 
     def _level_of(self, vba: int) -> str:
         if vba in self.log_index:
@@ -415,3 +359,198 @@ class BranchStore:
             raise StorageError(
                 f"{self.name}: I/O [{vba}, +{nblocks}) outside logical disk "
                 f"of {self.nblocks} blocks")
+
+
+class _BranchOp:
+    """One in-flight :class:`BranchStore` operation, held in plain fields.
+
+    Each stage issues at most one inner I/O (or arms the translation
+    delay) and names the stage that continues once it completes, so the
+    op's progress lives in these slots rather than in a coroutine frame.
+    ``runs`` is the branch's lazy run iterator, first advanced after the
+    translation delay (and any read-before-write).  An exception raised
+    by a stage, or a failed inner I/O, fails ``done``.
+    """
+
+    __slots__ = ("branch", "vba", "nblocks", "done", "runs", "cursor",
+                 "stop", "count", "_then")
+
+    def __init__(self, branch: BranchStore, vba: int, nblocks: int,
+                 runs: Iterator) -> None:
+        self.branch = branch
+        self.vba = vba
+        self.nblocks = nblocks
+        self.done = Event(branch.sim)
+        self.runs = runs
+        self.cursor = 0
+        self.stop = 0
+        self.count = 0
+        self._then = None
+
+    def arm(self, delay_ns: int, then) -> None:
+        """Continue with ``then()`` after ``delay_ns`` of simulated time."""
+        self._then = then
+        sim = self.branch.sim
+        sim.schedule_fn(sim.now + delay_ns, self._resume)
+
+    def wait(self, inner: Event, then) -> None:
+        """Continue with ``then()`` once the inner I/O ``inner`` is done."""
+        self._then = then
+        inner.add_callback(self._on_inner)
+
+    def resume_with(self, then) -> None:
+        """Continue with ``then()`` now."""
+        self._then = then
+        self._resume()
+
+    def _on_inner(self, event: Event) -> None:
+        if not event._ok:
+            event._defused = True
+            self.done.fail(event._value)
+            return
+        self._resume()
+
+    def _resume(self) -> None:
+        try:
+            self._then()
+        except Exception as exc:
+            self.done.fail(exc)
+
+
+class _WriteOp(_BranchOp):
+    """Translation, ORIGINAL_LVM read-before-write, then run-by-run writes."""
+
+    __slots__ = ()
+
+    def read_before_write(self) -> None:
+        """Original LVM: fetch original data for not-yet-copied blocks.
+
+        LVM reads the origin at COW-chunk granularity with read-ahead:
+        one ``rbw_batch_blocks`` origin read covers the next batch of
+        first-writes, so sequential writes pay roughly one extra read per
+        batch rather than one per write.
+        """
+        branch = self.branch
+        if branch.config.cow_mode is CowMode.ORIGINAL_LVM:
+            log_index, covered = branch.log_index, branch._rbw_covered
+            pending = [b for b in range(self.vba, self.vba + self.nblocks)
+                       if b not in log_index and b not in covered]
+            if pending:
+                branch.stats.read_before_write_blocks += len(pending)
+                self.cursor, self.stop = pending[0], pending[-1]
+                self._read_batch()
+                return
+        self._next_run()
+
+    def _read_batch(self) -> None:
+        # ``cursor`` is the next origin block to fetch, ``stop`` the last
+        # pending block the batches must reach, ``count`` the batch size.
+        base = self.branch.base
+        self.count = min(self.branch.config.rbw_batch_blocks,
+                         base.nblocks - self.cursor)
+        self.wait(base.read(self.cursor, self.count), self._batch_read)
+
+    def _batch_read(self) -> None:
+        branch = self.branch
+        branch._rbw_covered.update(range(self.cursor,
+                                         self.cursor + self.count))
+        self.cursor += self.count
+        if self.cursor <= self.stop:
+            self._read_batch()
+        else:
+            self._next_run()
+
+    def _next_run(self) -> None:
+        # Split the range into runs of fresh blocks (appended to the log,
+        # physically contiguous) and already-logged blocks (overwritten in
+        # place at their existing log slots).
+        run = next(self.runs, None)
+        if run is None:
+            self.done.succeed()
+            return
+        fresh, start, count = run
+        branch = self.branch
+        log = branch.log_extent
+        if fresh:
+            if branch._log_head + count > log.nblocks:
+                raise StorageError(f"{branch.name}: redo log full")
+            offset = branch._log_head
+            log_index = branch.log_index
+            for i in range(count):
+                log_index[start + i] = offset + i
+            branch._log_head += count
+            branch.stats.log_appends += count
+            self.count = count
+            self.wait(log.disk.write(log.lba(offset), count), self._appended)
+        else:
+            branch.stats.in_place_log_writes += count
+            self.wait(log.disk.write(log.lba(branch.log_index[start]), count),
+                      self._next_run)
+
+    def _appended(self) -> None:
+        branch = self.branch
+        if not branch.config.aged:
+            branch._blocks_since_metadata += self.count
+        self._metadata()
+
+    def _metadata(self) -> None:
+        """REDO_LOG: periodic on-disk metadata region update."""
+        branch = self.branch
+        config = branch.config
+        if config.aged or \
+                branch._blocks_since_metadata < config.metadata_interval_blocks:
+            self._next_run()
+            return
+        branch._blocks_since_metadata -= config.metadata_interval_blocks
+        disk = branch.log_extent.disk
+        region_lba = min(
+            disk.num_blocks - 2,
+            branch.log_extent.start_lba + config.metadata_region_stride
+            + (branch.stats.metadata_writes % 16) * 1024)
+        branch.stats.metadata_writes += 1
+        self.wait(disk.write(region_lba, 1), self._metadata)
+
+
+class _ReadOp(_BranchOp):
+    """Demand faults (with a pager), translation, then run-by-run reads."""
+
+    __slots__ = ()
+
+    def fault_in(self) -> None:
+        # ``cursor`` is the next logical block to check against the pager.
+        branch = self.branch
+        pager = branch.pager
+        aggregated = branch.aggregated_index
+        for b in range(self.cursor, self.vba + self.nblocks):
+            off = aggregated.get(b)
+            if off is not None and off in pager.missing:
+                self.cursor = b + 1
+                self.wait(pager.ensure_present(off, 1), self.fault_in)
+                return
+        self.translate()
+
+    def translate(self) -> None:
+        self.arm(self.nblocks * self.branch.config.translation_ns_per_block,
+                 self._next_run)
+
+    def _next_run(self) -> None:
+        run = next(self.runs, None)
+        if run is None:
+            self.done.succeed()
+            return
+        level, start, count = run
+        branch = self.branch
+        stats = branch.stats
+        if level == "log":
+            stats.reads_from_current += count
+            log = branch.log_extent
+            inner = log.disk.read(log.lba(branch.log_index[start]), count)
+        elif level == "agg":
+            stats.reads_from_aggregated += count
+            agg = branch.aggregated_extent
+            inner = agg.disk.read(agg.lba(branch.aggregated_index[start]),
+                                  count)
+        else:
+            stats.reads_from_base += count
+            inner = branch.base.read(start, count)
+        self.wait(inner, self._next_run)

@@ -153,18 +153,21 @@ class LazyCopyIn:
         return _PresentView(self)
 
     def ensure_present(self, vba: int, nblocks: int = 1) -> Event:
-        """Fault in a block range on first reference (a process)."""
-        return self.sim.process(self._ensure(vba, nblocks))
+        """Fault in a block range on first reference.
 
-    def _ensure(self, vba: int, nblocks: int):
+        The missing blocks are claimed now, fetched from the server, then
+        landed on the local disk; the event fires once they are written
+        (at once when nothing was missing).
+        """
         wanted = [b for b in range(vba, vba + nblocks) if b in self.missing]
-        if wanted:
-            self.demand_fetches += len(wanted)
-            self.missing.difference_update(wanted)
-            # Fetch from the server, then land on the local disk.
-            yield self.channel.transfer(len(wanted) * self.config.block_size)
-            yield self.disk.write(self.extent_start_lba + wanted[0],
-                                  len(wanted))
+        if not wanted:
+            return Event(self.sim).succeed()
+        self.demand_fetches += len(wanted)
+        self.missing.difference_update(wanted)
+        return _then(
+            self.channel.transfer(len(wanted) * self.config.block_size),
+            lambda: self.disk.write(self.extent_start_lba + wanted[0],
+                                    len(wanted)))
 
     def mark_present(self, vba: int, nblocks: int = 1) -> None:
         """Blocks made present by other means (whole-block overwrite)."""
@@ -231,12 +234,34 @@ class LazyVolume:
         return self.inner.nblocks
 
     def read(self, vba: int, nblocks: int = 1) -> Event:
-        return self.sim.process(self._read(vba, nblocks))
-
-    def _read(self, vba: int, nblocks: int):
-        yield self.pager.ensure_present(vba, nblocks)
-        yield self.inner.read(vba, nblocks)
+        return _then(self.pager.ensure_present(vba, nblocks),
+                     lambda: self.inner.read(vba, nblocks))
 
     def write(self, vba: int, nblocks: int = 1) -> Event:
         self.pager.present.update(range(vba, vba + nblocks))
         return self.inner.write(vba, nblocks)
+
+
+def _then(first: Event, issue) -> Event:
+    """Once ``first`` fires, start the next I/O with ``issue()``.
+
+    The returned event settles like that I/O; an exception from ``issue``
+    fails it.
+    """
+    done = Event(first.sim)
+
+    def settle(event: Event) -> None:
+        if event._ok:
+            done.succeed()
+        else:
+            event._defused = True
+            done.fail(event._value)
+
+    def start(_first: Event) -> None:
+        try:
+            issue().add_callback(settle)
+        except Exception as exc:
+            done.fail(exc)
+
+    first.add_callback(start)
+    return done

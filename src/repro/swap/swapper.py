@@ -251,7 +251,8 @@ class StatefulSwapper:
                     extent_start_lba=node.branch.aggregated_extent.start_lba,
                     missing_blocks=set(saved.aggregated_index.values()))
                 self._pagers[name] = pager
-                self._interpose_lazy_reads(node, pager)
+                # Aggregated-delta reads fault missing blocks in first.
+                node.branch.pager = pager
                 if pager.missing:
                     pager.start()
             else:
@@ -281,22 +282,3 @@ class StatefulSwapper:
             vbd.resume()
         for nic in node.domain.nics:
             nic.resume()
-
-    def _interpose_lazy_reads(self, node: AllocatedNode,
-                              pager: LazyCopyIn) -> None:
-        """Route aggregated-delta reads through the demand pager.
-
-        Wraps the branch's aggregated read path: a read of a block whose
-        data is still on the server faults it in first.
-        """
-        branch = node.branch
-        original_read = branch._read
-
-        def read_with_faults(vba: int, nblocks: int):
-            for b in range(vba, vba + nblocks):
-                off = branch.aggregated_index.get(b)
-                if off is not None and off in pager.missing:
-                    yield pager.ensure_present(off, 1)
-            yield from original_read(vba, nblocks)
-
-        branch._read = read_with_faults

@@ -176,11 +176,12 @@ def test_timer_storm_peak_pending_within_ceiling():
 def test_ckpt10_swap_in_dispatches_within_ceiling():
     # Swapping in the ckpt10 rig (ten 32 MB guests on a 100 Mbps LAN) spans
     # ~608 simulated seconds of imaging, boot and NTP, and nothing in it
-    # needs periodic work: the shared-info page is refreshed when read.
-    # The count is deterministic, so exceeding it means new periodic work,
-    # not a busy host.  103 is the value measured when this gate was set;
-    # it is a literal so that a failing run can never ratchet its own
-    # ceiling.
+    # needs periodic work: the shared-info page is refreshed when read,
+    # and disk and channel I/O run without generator processes.  The count
+    # is deterministic, so exceeding it means new periodic work or new
+    # per-I/O events, not a busy host.  83 is the value measured when this
+    # gate was set; it is a literal so that a failing run can never
+    # ratchet its own ceiling.
     from repro.testbed import Emulab, ExperimentSpec, NodeSpec, TestbedConfig
     from repro.testbed.experiment import LanSpec
     from repro.units import MB, MBPS
@@ -195,4 +196,42 @@ def test_ckpt10_swap_in_dispatches_within_ceiling():
     experiment = testbed.define_experiment(spec)
     sim.run(until=experiment.swap_in())
     assert sim.now > 600 * SECOND
-    assert profiler.dispatches <= 103
+    assert profiler.dispatches <= 83
+
+
+@pytest.mark.parametrize("mode,ceiling", [("REDO_LOG", 3204),
+                                          ("ORIGINAL_LVM", 3212)])
+def test_bonnie_on_branch_dispatches_within_ceiling(mode, ceiling):
+    # An 8 MB Bonnie++ run on a branch: 740 (REDO_LOG) or 744
+    # (ORIGINAL_LVM, four read-before-write batches) disk I/Os.  A disk
+    # I/O is one armed completion call plus the branch op's wake-up, and
+    # no generator process runs below the Bonnie driver.  The ceilings are
+    # the values measured when this gate was set (the generator-process
+    # disk path took 5422 and 5438); they are literals so that a failing
+    # run can never ratchet its own ceiling.
+    from repro.hw import Disk, DiskSpec
+    from repro.storage import BranchConfig, CowMode, VolumeManager
+    from repro.units import GB, MB
+    from repro.workloads import BonnieBenchmark, BonnieConfig
+
+    sim = Simulator()
+    profiler = sim.enable_profiling()
+    disk = Disk(sim, DiskSpec(capacity_bytes=16 * GB))
+    manager = VolumeManager(sim, disk)
+    branch = manager.create_branch(
+        "b", manager.create_golden("img", 20_000),
+        config=BranchConfig(cow_mode=CowMode[mode]),
+        log_blocks=20_000, aggregated_blocks=20_000)
+    sim.run(until=BonnieBenchmark(sim, branch, config=BonnieConfig(
+        file_bytes=8 * MB)).run())
+    assert disk.reads + disk.writes == {"REDO_LOG": 740,
+                                        "ORIGINAL_LVM": 744}[mode]
+    assert profiler.dispatches <= ceiling
+    # Every storage and disk dispatch is a plain method of the state
+    # machines; none resumes a generator.
+    below_driver = {key for key in profiler.counts
+                    if key.startswith(("repro.hw.", "repro.storage."))}
+    assert below_driver == {"repro.hw.disk.Disk._complete",
+                            "repro.storage.branching._BranchOp._on_inner",
+                            "repro.storage.branching._BranchOp._resume"}
+    assert not any(key.startswith("repro.sim.") for key in profiler.counts)

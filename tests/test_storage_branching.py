@@ -3,10 +3,12 @@
 import pytest
 
 from repro.errors import StorageError
+from repro.faults import DiskFault, FaultInjector, FaultPlan
 from repro.hw import Disk, DiskSpec
 from repro.sim import Simulator
-from repro.storage import (BranchConfig, BranchStore, CowMode, Extent,
-                           ExtentAllocator, LinearVolume, VolumeManager)
+from repro.storage import (BranchConfig, BranchStore, ByteChannel, CowMode,
+                           Extent, ExtentAllocator, LazyCopyIn, LinearVolume,
+                           VolumeManager)
 from repro.units import GB, MB, SECOND
 
 
@@ -205,3 +207,81 @@ def test_volume_manager_rejects_duplicates():
     vm.create_branch("b", golden)
     with pytest.raises(StorageError):
         vm.create_branch("b", golden)
+
+
+def test_injected_write_fault_arrives_as_failed_event():
+    sim = Simulator()
+    disk = Disk(sim, DiskSpec(capacity_bytes=64 * GB))
+    injector = FaultInjector(sim, FaultPlan(disk_faults=(
+        DiskFault(store="b0", operation="write", max_failures=1),)))
+    vm = VolumeManager(sim, disk, faults=injector)
+    branch = vm.create_branch("b0", vm.create_golden("img", 10_000))
+    seen = []
+    branch.on_write_hooks.append(seen.append)
+    failed = branch.write(0, 8)              # the call itself does not raise
+    with pytest.raises(StorageError, match="injected I/O error"):
+        sim.run(until=failed)
+    assert seen == [] and branch.current_delta_blocks == 0
+    assert disk.writes == 0
+    sim.run(until=branch.write(0, 8))        # the fault burned out
+    assert branch.current_delta_blocks == 8
+    assert seen == [range(0, 8)]
+
+
+def test_failing_inner_disk_io_fails_the_branch_op():
+    sim = Simulator()
+    branch, disk = make_branch(sim)
+    sim.run(until=branch.write(0, 8))
+
+    def failed_io(lba, nblocks):
+        return sim.event().fail(StorageError("media error"))
+
+    def raising_io(lba, nblocks):
+        raise StorageError("controller reset")
+
+    for broken, message in ((failed_io, "media error"),
+                            (raising_io, "controller reset")):
+        disk.read = broken
+        with pytest.raises(StorageError, match=message):
+            sim.run(until=branch.read(0, 8))
+        disk.write = broken
+        with pytest.raises(StorageError, match=message):
+            sim.run(until=branch.write(100, 8))
+        del disk.read, disk.write
+    # The failures left nothing in flight: the next I/O runs normally.
+    reads = disk.reads
+    sim.run(until=branch.read(0, 8))
+    assert disk.reads == reads + 1
+
+
+def test_log_full_fails_the_write_event_not_the_call():
+    sim = Simulator()
+    vm, disk = make_vm(sim)
+    branch = vm.create_branch("b0", vm.create_golden("img", 10_000),
+                              log_blocks=1024)
+    done = branch.write(0, 2048)
+    with pytest.raises(StorageError, match="redo log full"):
+        sim.run(until=done)
+    assert not done.ok
+
+
+def test_pager_faults_missing_aggregated_blocks_in_before_the_read():
+    sim = Simulator()
+    vm, disk = make_vm(sim)
+    branch = vm.create_branch("b0", vm.create_golden("img", 50_000),
+                              aggregated_index={100: 0, 101: 1, 102: 7})
+    channel = ByteChannel(sim, rate_bytes_per_s=12 * MB)
+    pager = LazyCopyIn(sim, disk, channel=channel,
+                       extent_start_lba=branch.aggregated_extent.start_lba,
+                       missing_blocks={0, 7})
+    branch.pager = pager
+    sim.run(until=branch.read(99, 5))        # base, agg x3, base
+    # Offsets 0 and 7 came over the channel one at a time; offset 1 was
+    # already local.
+    assert pager.missing == set()
+    assert pager.demand_fetches == 2 and channel.transfers == 2
+    assert branch.stats.reads_from_aggregated == 3
+    assert branch.stats.reads_from_base == 2
+    transfers = channel.transfers
+    sim.run(until=branch.read(99, 5))        # everything local now
+    assert channel.transfers == transfers
