@@ -602,7 +602,7 @@ class DelayNodeProvider(Checkpointable):
     def restore(self, snapshot: dict) -> None:
         check_payload(self.name, snapshot, ("node", "frozen_at",
                                             "thawed_at"))
-        self.delay_node.restore_serialized(snapshot["node"])
+        self.delay_node.restore_state(snapshot["node"])
         self.frozen_at = snapshot["frozen_at"]
         self.thawed_at = snapshot["thawed_at"]
         self.last_snapshot = None
@@ -667,27 +667,6 @@ class FrontierProvider(Checkpointable):
     def restore(self, snapshot: dict) -> None:
         check_payload(self.name, snapshot, ("now", "seq"))
         self.sim.restore_frontier(snapshot["now"], snapshot["seq"])
-
-
-class StreamsProvider(Checkpointable):
-    """The experiment's named RNG substreams (`repro.sim.random`).
-
-    Restoring positions every derived stream exactly where the snapshot
-    took it; streams the snapshotted world had never touched are dropped
-    so first use re-derives them from the seed — matching a replayed
-    world's lazy derivation.
-    """
-
-    def __init__(self, streams) -> None:
-        self.streams = streams
-        self.name = "sim.streams"
-
-    def serialize(self) -> dict:
-        return {"streams": self.streams.serialize_state()}
-
-    def restore(self, snapshot: dict) -> None:
-        check_payload(self.name, snapshot, ("streams",))
-        self.streams.restore_state(snapshot["streams"])
 
 
 @dataclass(frozen=True)

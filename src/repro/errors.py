@@ -11,10 +11,6 @@ class SimulationError(ReproError):
     """The simulation kernel was used incorrectly."""
 
 
-class ResourceError(SimulationError):
-    """Invalid use of a simulated resource (double release, etc.)."""
-
-
 class ClockError(ReproError):
     """Invalid clock operation (e.g. reading a frozen raw time source)."""
 

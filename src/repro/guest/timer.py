@@ -12,7 +12,7 @@ nominal deadline and handler execution, standing in for timer-interrupt
 granularity and softirq scheduling.  This slack is what bounds Figure 4's
 baseline timer accuracy (97% of iterations within 28 µs).
 
-Scheduling goes through :meth:`~repro.sim.core.Simulator.schedule_call`:
+Scheduling goes through :meth:`~repro.sim.core.Simulator.schedule_tracked`:
 one :class:`~repro.sim.core.ScheduledCall` per distinct fire instant (all
 timers expiring at that instant share it, firing in arming order).  A
 cancelled :class:`~repro.sim.timers.TimerHandle` is unhooked from its batch
@@ -24,8 +24,8 @@ deadlines pass.
 Timers may carry a **tag** — a stable string naming the callback for the
 snapshot layer.  Callbacks are live closures and cannot be serialized;
 :meth:`VirtualTimerWheel.serialize_state` records each pending timer's tag,
-deadline, slack, and its batch's exact ``(when, priority, seq)`` event
-triple, and :meth:`VirtualTimerWheel.restore_state` re-creates the timers
+deadline, slack, and its batch's exact ``(when, seq)`` event position,
+and :meth:`VirtualTimerWheel.restore_state` re-creates the timers
 from a resolver mapping tags back to callbacks, re-inserting the batch
 events verbatim (:meth:`~repro.sim.core.Simulator.restore_call`) so a
 restored world's dispatch order is bit-identical to a replayed one.
@@ -38,7 +38,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.errors import CheckpointError, ClockError, SimulationError
 from repro.guest.vclock import VirtualClock
-from repro.sim.core import NORMAL, ScheduledCall, Simulator
+from repro.sim.core import ScheduledCall, Simulator
 from repro.sim.random import derived_rng
 from repro.sim.timers import TimerHandle
 from repro.units import US
@@ -256,8 +256,7 @@ class VirtualTimerWheel:
         one cannot survive the serialize/restore boundary, and dropping
         it silently would violate the checkpoint-coverage contract, so
         that raises instead.  Armed batches record their exact event
-        triple (``fire_at``, seq at NORMAL priority) for verbatim
-        re-insertion.
+        position (``fire_at``, seq) for verbatim re-insertion.
         """
         from repro.sim.random import rng_state_to_json
 
@@ -327,7 +326,7 @@ class VirtualTimerWheel:
                     f"timer wheel {self.name}: batch at {fire_at} has no "
                     f"timers in the payload")
             self._due_calls[fire_at] = self.sim.restore_call(
-                fire_at, NORMAL, seq, self._make_fire_batch(fire_at))
+                fire_at, seq, self._make_fire_batch(fire_at))
             self._due_seqs[fire_at] = seq
         if not self._frozen and set(self._due) != \
                 {int(k) for k in state["batch_seqs"]}:

@@ -794,34 +794,46 @@ class StoredGeneratorRule(ProjectRule):
 
 @register
 class SaveRestoreParityRule(ProjectRule):
-    """CKPT003 — a save-side override demands restore-side parity."""
+    """CKPT003 — a save-side override demands restore-side parity.
+
+    Providers pair ``stage_save``/``serialize`` with a restore-side hook;
+    any class defining ``serialize_state`` (a component's half of the
+    state pair) must also have ``restore_state`` — the one spelling.
+    """
 
     code = "CKPT003"
     name = "save-restore-parity"
-    summary = "provider overrides save without restore-side parity"
+    summary = "save-side state hook without its restore-side pair"
 
-    _PAIRS = (("stage_save", ("stage_resume", "stage_abort", "restore")),
-              ("serialize", ("restore",)))
+    _STATE_PAIRS = (("serialize_state", ("restore_state",)),)
+    _PROVIDER_PAIRS = (
+        ("stage_save", ("stage_resume", "stage_abort", "restore")),
+        ("serialize", ("restore",))) + _STATE_PAIRS
 
     def run(self) -> None:
-        for cls in self.index.checkpointable_classes():
-            if self.library_only and not cls.module.in_library:
+        for module in self.index.modules:
+            if self.library_only and not module.in_library:
                 continue
-            defined: Set[str] = set()
-            for ancestor in self.index._hierarchy(cls):
-                if ancestor.name == "Checkpointable":
-                    continue             # the root's no-op defaults don't count
-                defined |= set(ancestor.methods)
-            for save_hook, restore_hooks in self._PAIRS:
-                if save_hook in cls.methods \
-                        and not (defined & set(restore_hooks)):
-                    node = cls.methods[save_hook].node
-                    self.report(
-                        cls.module, node.lineno, node.col_offset,
-                        f"`{cls.name}` overrides `{save_hook}` without "
-                        f"restore-side parity; implement one of "
-                        f"{'/'.join(restore_hooks)} so captured state can "
-                        f"be re-applied or rolled back")
+            for cls in module.classes.values():
+                self._check(cls, self._PROVIDER_PAIRS
+                            if self.index.is_checkpointable(cls)
+                            else self._STATE_PAIRS)
+
+    def _check(self, cls: ClassInfo, pairs) -> None:
+        defined: Set[str] = set()
+        for ancestor in self.index._hierarchy(cls):
+            if ancestor.name == "Checkpointable":
+                continue                 # the root's no-op defaults don't count
+            defined |= set(ancestor.methods)
+        for save_hook, restore_hooks in pairs:
+            if save_hook in cls.methods and not (defined & set(restore_hooks)):
+                node = cls.methods[save_hook].node
+                self.report(
+                    cls.module, node.lineno, node.col_offset,
+                    f"`{cls.name}` defines `{save_hook}` without "
+                    f"restore-side parity; implement one of "
+                    f"{'/'.join(restore_hooks)} so captured state can "
+                    f"be re-applied or rolled back")
 
 
 def all_project_codes() -> List[str]:

@@ -322,9 +322,9 @@ class IdOrderingRule(Rule):
 class FloatTimeRule(Rule):
     """Simulated time is integer nanoseconds; float feeds are drift bugs.
 
-    Flags float literals, true division, and ``float()`` in arguments to
-    the scheduling APIs (``timeout``/``sleep``/``call_at``/``call_in`` and
-    the ``delay=`` keyword of ``succeed``/``fail``).  Explicit quantization
+    Flags float literals, true division, and ``float()`` in the time
+    argument of the scheduling APIs (``timeout``/``sleep``/``call_at``/
+    ``call_in``).  Explicit quantization
     through ``int(...)``/``round(...)`` or floor division is accepted.
     """
 
@@ -333,16 +333,11 @@ class FloatTimeRule(Rule):
     summary = "float arithmetic feeding a simulated-time API"
 
     TIME_METHODS = {"timeout", "sleep", "call_at", "call_in"}
-    DELAY_KW_METHODS = {"succeed", "fail"}
 
     def visit_Call(self, node: ast.Call) -> None:
-        if isinstance(node.func, ast.Attribute):
-            if node.func.attr in self.TIME_METHODS and node.args:
-                self._check_time_arg(node.args[0], node.func.attr)
-            if node.func.attr in self.DELAY_KW_METHODS:
-                for kw in node.keywords:
-                    if kw.arg == "delay":
-                        self._check_time_arg(kw.value, node.func.attr)
+        if (isinstance(node.func, ast.Attribute)
+                and node.func.attr in self.TIME_METHODS and node.args):
+            self._check_time_arg(node.args[0], node.func.attr)
         self.generic_visit(node)
 
     def _check_time_arg(self, arg: ast.AST, method: str) -> None:

@@ -119,7 +119,7 @@ class DelayNode:
                 "forward": self._pipe_ab.serialize_state(),
                 "reverse": self._pipe_ba.serialize_state()}
 
-    def restore_serialized(self, state: dict) -> None:
+    def restore_state(self, state: dict) -> None:
         """Re-apply a :meth:`serialize_state` payload to this idle node."""
         expected = ("name", "frozen", "forward", "reverse")
         if not isinstance(state, dict) or set(state) != set(expected):
@@ -130,8 +130,8 @@ class DelayNode:
                 f"delay node {self.name}: payload belongs to "
                 f"{state['name']!r}")
         self._frozen = bool(state["frozen"])
-        self._pipe_ab.restore_serialized(state["forward"])
-        self._pipe_ba.restore_serialized(state["reverse"])
+        self._pipe_ab.restore_state(state["forward"])
+        self._pipe_ba.restore_state(state["reverse"])
 
 
 def install_shaped_link(sim: Simulator, host_a: Host, host_b: Host,

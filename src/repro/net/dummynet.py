@@ -10,7 +10,7 @@ The pipe is the heart of the paper's "transparency of the network core"
 packets live inside pipes, so checkpointing the delay node — freezing pipes
 and serializing their queues non-destructively — captures the in-flight
 state of the whole network.  :meth:`freeze`, :meth:`thaw`,
-:meth:`serialize_state` and :meth:`restore_serialized` implement exactly
+:meth:`serialize_state` and :meth:`restore_state` implement exactly
 that live-checkpoint protocol, including virtualizing the pipe clock so
 queued packets resume with their *remaining* service times (§4.4's
 "virtualizing time to account for the time spent in the checkpoint").
@@ -321,7 +321,7 @@ class Pipe:
             "rng": rng_state_to_json(self.rng.getstate()),
         }
 
-    def restore_serialized(self, state: dict) -> None:
+    def restore_state(self, state: dict) -> None:
         """Re-apply a :meth:`serialize_state` payload to this empty pipe.
 
         The pipe must be freshly built (no packets in flight, nothing
@@ -330,7 +330,6 @@ class Pipe:
         via :meth:`~repro.sim.core.Simulator.restore_call`, so the
         restored world pops it in replay-identical order.
         """
-        from repro.sim.core import NORMAL
         from repro.sim.random import rng_state_from_json
 
         expected = ("name", "frozen", "config", "queue", "transmitting",
@@ -372,7 +371,7 @@ class Pipe:
                 f"pipe {self.name}: frozen payload with an armed call")
         self._armed_at, self._armed_seq = advance
         self._advance_call = self.sim.restore_call(
-            self._armed_at, NORMAL, self._armed_seq, self._advance)
+            self._armed_at, self._armed_seq, self._advance)
 
 
 def payload_packets_in_flight(state: dict) -> int:

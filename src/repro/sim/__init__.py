@@ -1,17 +1,11 @@
 """Deterministic discrete-event simulation kernel."""
 
-from repro.sim.core import (Event, ScheduledCall, Simulator, Timeout,
-                            URGENT, NORMAL, LOW)
-from repro.sim.process import Interrupt, Process
-from repro.sim.primitives import AllOf, AnyOf, Condition
-from repro.sim.resources import Container, Request, Resource, Store
+from repro.sim.core import Event, ScheduledCall, Simulator, Timeout
+from repro.sim.process import Process
+from repro.sim.primitives import AllOf
 from repro.sim.random import RandomStreams, derived_rng
-from repro.obs.trace import TraceRecord, Tracer, maybe_record
 
 __all__ = [
-    "Event", "ScheduledCall", "Simulator", "Timeout", "URGENT", "NORMAL",
-    "LOW",
-    "Interrupt", "Process", "AllOf", "AnyOf", "Condition",
-    "Container", "Request", "Resource", "Store",
-    "RandomStreams", "derived_rng", "TraceRecord", "Tracer", "maybe_record",
+    "Event", "ScheduledCall", "Simulator", "Timeout", "Process", "AllOf",
+    "RandomStreams", "derived_rng",
 ]

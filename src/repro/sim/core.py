@@ -3,7 +3,10 @@
 The kernel orders work by ``(time, priority, sequence)``: simulated time is
 integer nanoseconds (see :mod:`repro.units`), and ties are broken by a
 monotonically increasing sequence number, so a run is reproducible
-bit-for-bit regardless of host platform.
+bit-for-bit regardless of host platform.  Everything scheduled from outside
+the kernel runs at ``NORMAL`` priority; ``URGENT`` is internal, used only to
+kick a newly started :class:`~repro.sim.process.Process` ahead of the
+``NORMAL`` work already queued for the same instant.
 
 Storage is a **two-lane event store** (profile-guided; see
 docs/performance.md for the measurements that chose this layout over both
@@ -17,7 +20,7 @@ docs/performance.md for the measurements that chose this layout over both
   pop from the head in O(1) — no sifting, no per-entry log(n).
 * the **heap lane** — a classic binary heap (C ``heapq``) that absorbs the
   out-of-order remainder: timers armed into the far future while nearer
-  work is pending, retransmission deadlines, URGENT-priority kicks.
+  work is pending, retransmission deadlines, URGENT process-start kicks.
 
 Dispatch merges the lanes by comparing their heads; because both lanes are
 min-ordered and every entry carries the full ``(when, priority, seq)``
@@ -31,7 +34,7 @@ Two kinds of item ride the store:
   by processes, with a value, callbacks, and failure propagation; events
   are callable (dispatch invokes ``event()``) so the hot loop never needs
   an ``isinstance`` check;
-* plain callbacks — :meth:`Simulator.schedule_call` pushes a single
+* plain callbacks — :meth:`Simulator.call_at` pushes a single
   slotted :class:`ScheduledCall` handle (cancellable), and
   :meth:`Simulator.schedule_fn` pushes the bare callable itself.  Neither
   allocates an Event, a callback list, or a wrapper lambda, which is what
@@ -60,7 +63,6 @@ from repro.errors import SimulationError
 #: Scheduling priorities.  Lower runs first at equal timestamps.
 URGENT = 0
 NORMAL = 1
-LOW = 2
 
 _PENDING = object()
 
@@ -109,18 +111,16 @@ class Event:
 
     # -- triggering -----------------------------------------------------------
 
-    def succeed(self, value: Any = None, delay: int = 0,
-                priority: int = NORMAL) -> "Event":
+    def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
         if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.sim._enqueue(self, delay, priority)
+        self.sim._enqueue(self, 0, NORMAL)
         return self
 
-    def fail(self, exception: BaseException, delay: int = 0,
-             priority: int = NORMAL) -> "Event":
+    def fail(self, exception: BaseException) -> "Event":
         """Trigger the event as failed with ``exception``.
 
         A failed event re-raises its exception inside every process waiting
@@ -133,7 +133,7 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = False
         self._value = exception
-        self.sim._enqueue(self, delay, priority)
+        self.sim._enqueue(self, 0, NORMAL)
         return self
 
     def defuse(self) -> None:
@@ -150,24 +150,6 @@ class Event:
         else:
             assert self.callbacks is not None
             self.callbacks.append(fn)
-
-    def remove_callback(self, fn: Callable[["Event"], None]) -> None:
-        """Remove a previously registered callback (no-op if absent).
-
-        On a processed event the callback list is gone and there is nothing
-        to remove; that case returns immediately instead of scanning.  The
-        same applies *during* dispatch of this event: ``_process`` detaches
-        the list before running it, so removal from inside one of the
-        event's own callbacks is a no-op — the remaining callbacks still
-        fire (see tests/test_sim_heap_edges.py, which pins this contract).
-        """
-        cbs = self.callbacks
-        if cbs is None:
-            return                          # already processed
-        try:
-            cbs.remove(fn)                  # single O(n) pass, not two
-        except ValueError:
-            pass
 
     def _process(self) -> None:
         callbacks, self.callbacks = self.callbacks, None
@@ -218,12 +200,6 @@ class ScheduledCall:
     def __init__(self, sim: "Simulator", fn: Callable[[], None]) -> None:
         self.sim = sim
         self.fn: Optional[Callable[[], None]] = fn
-
-    @property
-    def active(self) -> bool:
-        """True while the callback is still pending (not fired, not
-        cancelled)."""
-        return self.fn is not None
 
     def cancel(self) -> None:
         """Prevent the callback from running (no-op if fired/cancelled)."""
@@ -284,25 +260,15 @@ class Simulator:
 
         return Process(self, generator)
 
-    def call_at(self, when: int, fn: Callable[[], None],
-                priority: int = NORMAL) -> ScheduledCall:
-        """Invoke ``fn()`` at absolute simulated time ``when``."""
-        return self.schedule_call(when, fn, priority)
-
-    def call_in(self, delay: int, fn: Callable[[], None],
-                priority: int = NORMAL) -> ScheduledCall:
-        """Invoke ``fn()`` after ``delay`` nanoseconds."""
-        return self.schedule_call(self.now + delay, fn, priority)
-
     # -- callback scheduling -------------------------------------------------
 
-    def schedule_call(self, when: int, fn: Callable[[], None],
-                      priority: int = NORMAL) -> ScheduledCall:
-        """Schedule ``fn()`` at absolute time ``when``; returns a handle.
+    def call_at(self, when: int, fn: Callable[[], None]) -> ScheduledCall:
+        """Invoke ``fn()`` at absolute simulated time ``when``.
 
         Pushes one slotted :class:`ScheduledCall` — no Event, no callback
-        list, no wrapper lambda.  ``handle.cancel()`` removes
-        the entry lazily (skipped at pop, compacted past the threshold).
+        list, no wrapper lambda — and returns it; ``handle.cancel()``
+        removes the entry lazily (skipped at pop, compacted past the
+        threshold).
         """
         if when < self.now:
             raise SimulationError(
@@ -310,33 +276,30 @@ class Simulator:
         self._seq = seq = self._seq + 1
         handle = ScheduledCall(self, fn)
         tail = self._tail
-        if tail:
-            last = tail[-1]
-            lw = last[0]
-            if when > lw or (when == lw and priority >= last[1]):
-                tail.append((when, priority, seq, handle))
-            else:
-                heappush(self._heap, (when, priority, seq, handle))
+        if not tail or when >= tail[-1][0]:
+            tail.append((when, NORMAL, seq, handle))
         else:
-            tail.append((when, priority, seq, handle))
+            heappush(self._heap, (when, NORMAL, seq, handle))
         return handle
 
-    def schedule_tracked(self, when: int, fn: Callable[[], None],
-                         priority: int = NORMAL
+    def call_in(self, delay: int, fn: Callable[[], None]) -> ScheduledCall:
+        """Invoke ``fn()`` after ``delay`` nanoseconds."""
+        return self.call_at(self.now + delay, fn)
+
+    def schedule_tracked(self, when: int, fn: Callable[[], None]
                          ) -> "tuple[ScheduledCall, int]":
         """Schedule ``fn()`` and also return the entry's sequence number.
 
-        The ``(when, priority, seq)`` triple fully determines this
-        entry's position in the pop order, so a snapshot layer that
-        records the triple can re-insert the pending call *verbatim* in a
+        The ``(when, seq)`` pair (at ``NORMAL`` priority) fully determines
+        this entry's position in the pop order, so a snapshot layer that
+        records it can re-insert the pending call *verbatim* in a
         restored world (:meth:`restore_call`) — tie-breaking then matches
         a from-origin replay bit for bit.
         """
-        handle = self.schedule_call(when, fn, priority)
+        handle = self.call_at(when, fn)
         return handle, self._seq
 
-    def schedule_fn(self, when: int, fn: Callable[[], None],
-                    priority: int = NORMAL) -> None:
+    def schedule_fn(self, when: int, fn: Callable[[], None]) -> None:
         """Fire-and-forget scheduling: pushes the bare callable itself.
 
         Zero per-call allocation beyond the stored entry; there is no
@@ -348,15 +311,10 @@ class Simulator:
                 f"cannot schedule at {when} before now={self.now}")
         self._seq = seq = self._seq + 1
         tail = self._tail
-        if tail:
-            last = tail[-1]
-            lw = last[0]
-            if when > lw or (when == lw and priority >= last[1]):
-                tail.append((when, priority, seq, fn))
-            else:
-                heappush(self._heap, (when, priority, seq, fn))
+        if not tail or when >= tail[-1][0]:
+            tail.append((when, NORMAL, seq, fn))
         else:
-            tail.append((when, priority, seq, fn))
+            heappush(self._heap, (when, NORMAL, seq, fn))
 
     def _compact(self) -> None:
         """Drop cancelled tombstones from both lanes (O(n), amortized O(1)).
@@ -410,8 +368,8 @@ class Simulator:
 
         The *entries* of the frontier are not serialized here — callables
         cannot be; each component that owns a pending call records its
-        own ``(when, priority, seq)`` triple (via :meth:`schedule_tracked`)
-        and re-inserts it at restore with :meth:`restore_call`.
+        own ``(when, seq)`` pair (via :meth:`schedule_tracked`) and
+        re-inserts it at restore with :meth:`restore_call`.
         """
         return {"now": self.now, "seq": self._seq}
 
@@ -436,12 +394,13 @@ class Simulator:
         self.now = now
         self._seq = seq
 
-    def restore_call(self, when: int, priority: int, seq: int,
+    def restore_call(self, when: int, seq: int,
                      fn: Callable[[], None]) -> ScheduledCall:
-        """Re-insert one pending call with its *original* ordering triple.
+        """Re-insert one pending call with its *original* ``(when, NORMAL,
+        seq)`` ordering triple.
 
-        Used only by restore paths: the triple must have been recorded at
-        arming time in the snapshotted world (see :meth:`schedule_tracked`),
+        Used only by restore paths: ``(when, seq)`` must have been recorded
+        at arming time in the snapshotted world (see :meth:`schedule_tracked`),
         and :meth:`restore_frontier` must already have set the sequence
         counter at or past ``seq``.  The entry goes to the heap lane —
         out-of-order inserts are exactly what that lane absorbs — and the
@@ -456,7 +415,7 @@ class Simulator:
                 f"restored seq {seq} is ahead of the frontier counter "
                 f"{self._seq}; restore_frontier first")
         handle = ScheduledCall(self, fn)
-        heappush(self._heap, (when, priority, seq, handle))
+        heappush(self._heap, (when, NORMAL, seq, handle))
         return handle
 
     # -- execution ------------------------------------------------------------
@@ -731,12 +690,8 @@ class Simulator:
 
     # -- conveniences ----------------------------------------------------------
 
-    def any_of(self, events: Iterable[Event]) -> Event:
-        from repro.sim.primitives import AnyOf
-
-        return AnyOf(self, list(events))
-
     def all_of(self, events: Iterable[Event]) -> Event:
+        """An event that fires once every one of ``events`` has fired."""
         from repro.sim.primitives import AllOf
 
         return AllOf(self, list(events))

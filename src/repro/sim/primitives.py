@@ -1,4 +1,4 @@
-"""Composite events: wait for any/all of a set of events."""
+"""The composite event: wait for all of a set of events."""
 
 from __future__ import annotations
 
@@ -8,11 +8,11 @@ from repro.errors import SimulationError
 from repro.sim.core import Event, Simulator
 
 
-class Condition(Event):
-    """Base for events derived from a set of constituent events.
+class AllOf(Event):
+    """Fires when every constituent has fired; fails on the first failure.
 
-    The condition's value is a dict mapping each *triggered* constituent to
-    its value at the moment the condition fired.
+    The value is a dict mapping each constituent to its value.  Once the
+    first failure has failed the ``AllOf``, later failures are defused.
     """
 
     __slots__ = ("events", "_pending")
@@ -22,7 +22,7 @@ class Condition(Event):
         self.events = list(events)
         for ev in self.events:
             if ev.sim is not sim:
-                raise SimulationError("condition mixes simulators")
+                raise SimulationError("AllOf mixes simulators")
         self._pending = len(self.events)
         if not self.events:
             self.succeed({})
@@ -30,46 +30,14 @@ class Condition(Event):
         for ev in self.events:
             ev.add_callback(self._on_child)
 
-    def _collect(self) -> dict:
-        return {ev: ev._value for ev in self.events
-                if ev.triggered and ev.processed and ev._ok}
-
     def _on_child(self, event: Event) -> None:
-        raise NotImplementedError
-
-    def _child_failed(self, event: Event) -> None:
-        event._defused = True
-        if not self.triggered:
-            self.fail(event._value)
-
-
-class AnyOf(Condition):
-    """Fires as soon as the first constituent fires (or fails)."""
-
-    __slots__ = ()
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
         if not event._ok:
-            self._child_failed(event)
+            event._defused = True
+            if not self.triggered:
+                self.fail(event._value)
             return
-        self.succeed(self._collect())
-
-
-class AllOf(Condition):
-    """Fires when every constituent has fired; fails on the first failure."""
-
-    __slots__ = ()
-
-    def _on_child(self, event: Event) -> None:
         if self.triggered:
-            if not event._ok:
-                event._defused = True
-            return
-        if not event._ok:
-            self._child_failed(event)
             return
         self._pending -= 1
         if self._pending == 0:
-            self.succeed(self._collect())
+            self.succeed({ev: ev._value for ev in self.events})

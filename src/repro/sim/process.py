@@ -9,35 +9,24 @@ the generator returns, carrying the generator's return value.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Generator
 
 from repro.errors import SimulationError
 from repro.sim.core import Event, Simulator, URGENT
 
 
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`."""
-
-    @property
-    def cause(self) -> Any:
-        """Whatever the interrupter passed as the cause."""
-        return self.args[0] if self.args else None
-
-
 class Process(Event):
     """A running generator coroutine; also an event for its completion."""
 
-    __slots__ = ("name", "_generator", "_waiting_on", "_alive")
+    __slots__ = ("name", "_generator", "_alive")
 
-    def __init__(self, sim: Simulator, generator: Generator,
-                 name: Optional[str] = None) -> None:
+    def __init__(self, sim: Simulator, generator: Generator) -> None:
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise SimulationError(
                 f"Process needs a generator, got {generator!r}")
         super().__init__(sim)
-        self.name = name or getattr(generator, "__name__", "process")
+        self.name = getattr(generator, "__name__", "process")
         self._generator = generator
-        self._waiting_on: Optional[Event] = None
         self._alive = True
         # Kick off on the next simulation step so construction order does
         # not matter within a single timestamp.
@@ -47,41 +36,12 @@ class Process(Event):
         sim._enqueue(start, 0, URGENT)
         start.callbacks.append(self._resume)
 
-    # -- state -----------------------------------------------------------------
-
     @property
     def is_alive(self) -> bool:
         """True while the generator has not finished."""
         return self._alive
 
-    # -- interruption ------------------------------------------------------------
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        The event the process was waiting on is abandoned: when it later
-        fires, the process ignores it.  Interrupting a finished process is
-        an error.
-        """
-        if not self._alive:
-            raise SimulationError(f"cannot interrupt dead process {self.name}")
-        waited = self._waiting_on
-        if waited is not None:
-            waited.remove_callback(self._resume)
-            self._waiting_on = None
-        kick = Event(self.sim)
-        kick._ok = False
-        kick._value = Interrupt(cause)
-        kick._defused = True
-        self.sim._enqueue(kick, 0, URGENT)
-        kick.callbacks.append(self._resume)
-
-    # -- stepping ---------------------------------------------------------------
-
     def _resume(self, event: Event) -> None:
-        if not self._alive:
-            return
-        self._waiting_on = None
         try:
             if event._ok:
                 target = self._generator.send(event._value)
@@ -109,7 +69,6 @@ class Process(Event):
             self.fail(SimulationError(
                 f"process {self.name} yielded event from another simulator"))
             return
-        self._waiting_on = target
         target.add_callback(self._resume)
 
     def __repr__(self) -> str:

@@ -76,7 +76,7 @@ class SimTimerService:
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
         # prebound: call_in is on TCP's RTO arm/cancel hot path
-        self._schedule = sim.schedule_call
+        self._schedule = sim.call_at
 
     def now(self) -> int:
         return self.sim.now

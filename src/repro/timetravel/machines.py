@@ -34,7 +34,7 @@ from typing import Optional
 
 from repro.checkpoint.pipeline import Checkpointable, check_payload
 from repro.errors import CheckpointError
-from repro.sim.core import NORMAL, Simulator
+from repro.sim.core import Simulator
 from repro.sim.random import derived_rng, rng_state_from_json, \
     rng_state_to_json
 from repro.units import MS
@@ -161,7 +161,7 @@ class TickMachine(Checkpointable):
         if snapshot["armed"] is not None:
             self._armed_at, self._armed_seq = snapshot["armed"]
             self._handle = self.sim.restore_call(
-                self._armed_at, NORMAL, self._armed_seq, self._tick)
+                self._armed_at, self._armed_seq, self._tick)
 
 
 class SleeperMachine(TickMachine):
@@ -372,7 +372,7 @@ class PerturbationProvider(Checkpointable):
         for spec in snapshot["pending"]:
             rec = {"at": spec["at"], "target": spec["target"],
                    "payload": spec["payload"], "seq": spec["seq"]}
-            self.sim.restore_call(rec["at"], NORMAL, rec["seq"],
+            self.sim.restore_call(rec["at"], rec["seq"],
                                   self._make_fire(rec))
             self.pending.append(rec)
 

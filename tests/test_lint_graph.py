@@ -353,6 +353,23 @@ def test_ckpt003_serialize_needs_restore():
     assert graph_codes(seeded_entries(src), select=["CKPT003"]) == []
 
 
+def test_ckpt003_component_state_pair_has_one_spelling():
+    # Not a provider: any library class pairing ``serialize_state`` with
+    # anything but ``restore_state`` is flagged.
+    src = (
+        "class Pipe:\n"
+        "    def serialize_state(self):\n"
+        "        return {}\n"
+        "    def restore_serialized(self, state):\n"
+        "        return None\n")
+    found = graph_codes(seeded_entries(src, path="src/repro/net/pipe.py"),
+                        select=["CKPT003"])
+    assert [(c, line) for c, _, line in found] == [("CKPT003", 2)]
+    fixed = src.replace("restore_serialized", "restore_state")
+    assert graph_codes(seeded_entries(fixed, path="src/repro/net/pipe.py"),
+                       select=["CKPT003"]) == []
+
+
 # ---------------------------------------------------------------------------
 # index plumbing: registry, dump, acceptance gates
 # ---------------------------------------------------------------------------

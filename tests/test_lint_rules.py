@@ -186,11 +186,6 @@ def test_det006_true_division():
     assert codes_at(src) == [("DET006", 2)]
 
 
-def test_det006_succeed_delay_kwarg():
-    src = "def f(ev, t):\n    ev.succeed(delay=t / 2)\n"
-    assert codes_at(src) == [("DET006", 2)]
-
-
 def test_det006_floor_division_clean():
     src = "def f(sim, total, rate):\n    return sim.timeout(total // rate)\n"
     assert codes_at(src) == []

@@ -132,7 +132,7 @@ def test_pipe_capture_requires_freeze():
     assert pipe.serialize_state()["advance"] is None
     forged = dict(running, frozen=True)
     with pytest.raises(CheckpointError):
-        make_pipe(Simulator(), lambda p: None).restore_serialized(forged)
+        make_pipe(Simulator(), lambda p: None).restore_state(forged)
 
 
 def test_pipe_capture_and_restore_roundtrip():
@@ -151,7 +151,7 @@ def test_pipe_capture_and_restore_roundtrip():
     out2 = []
     pipe2 = Pipe(sim2, pipe.config, lambda p: out2.append(p.headers["n"]),
                  random.Random(1))
-    pipe2.restore_serialized(state)
+    pipe2.restore_state(state)
     assert pipe2.frozen and pipe2.packets_in_flight == 5
     pipe2.thaw()
     sim2.run()
@@ -165,7 +165,7 @@ def test_pipe_restore_rejects_config_mismatch():
     state = pipe.serialize_state()
     other = make_pipe(sim, lambda p: None, bandwidth_bps=20 * MBPS)
     with pytest.raises(CheckpointError):
-        other.restore_serialized(state)
+        other.restore_state(state)
 
 
 def test_delay_node_captures_bandwidth_delay_product():

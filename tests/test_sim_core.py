@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Event, Simulator, Timeout, URGENT
+from repro.sim import Simulator, Timeout
 
 
 def test_time_starts_at_zero():
@@ -65,13 +65,21 @@ def test_ties_break_by_schedule_order():
 
 
 def test_priority_beats_sequence():
+    # A process started at t is kicked at URGENT priority, ahead of NORMAL
+    # work queued for t earlier (with a lower sequence number).
     sim = Simulator()
     order = []
-    normal = Timeout(sim, 10)
-    normal.callbacks.append(lambda _e: order.append("normal"))
-    urgent = sim.event()
-    urgent.succeed(delay=10, priority=URGENT)
-    urgent.add_callback(lambda _e: order.append("urgent"))
+
+    def proc():
+        order.append("urgent")
+        yield sim.timeout(0)
+
+    def start():
+        normal = Timeout(sim, 0)
+        normal.callbacks.append(lambda _e: order.append("normal"))
+        sim.process(proc())
+
+    sim.call_in(10, start)
     sim.run()
     assert order == ["urgent", "normal"]
 

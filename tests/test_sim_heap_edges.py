@@ -4,14 +4,13 @@ The simulator keeps scheduled entries in two lanes — a monotone tail deque
 plus a binary-heap overflow lane — with lazy tombstones for cancellation
 and threshold compaction.  These tests pin the contracts that are easy to
 break when rearranging that storage: cancellation near the head, ordering
-across compaction, tombstones interacting with run horizons, and callback
-mutation during dispatch.
+across compaction, and tombstones interacting with run horizons.
 """
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.core import LOW, NORMAL, URGENT, Event, Simulator
+from repro.sim.core import Simulator
 from repro.units import MS, SECOND
 
 
@@ -64,21 +63,38 @@ def test_cancel_at_top_below_run_horizon_does_not_advance_clock():
 
 
 def test_same_instant_priority_and_seq_order_survive_compaction():
+    # A process started at t is kicked at URGENT priority, ahead of the
+    # NORMAL calls already queued for t.  The kicks land in the heap lane
+    # (the tail already holds a later entry) and a compaction rebuilds
+    # that lane right after they arrive; the merge must still pop the
+    # kicks first, then the NORMAL calls of both lanes in seq order.
     sim = Simulator()
     fired = []
     t = 1 * SECOND
-    sim.call_at(t, lambda: fired.append("n1"), priority=NORMAL)
-    sim.call_at(t, lambda: fired.append("u1"), priority=URGENT)
-    doomed = [sim.call_at(t + i, lambda: fired.append("dead"))
-              for i in range(1, 301)]
-    sim.call_at(t, lambda: fired.append("l1"), priority=LOW)
-    sim.call_at(t, lambda: fired.append("n2"), priority=NORMAL)
-    for h in doomed:
-        h.cancel()                          # forces a compaction sweep
-    sim.call_at(t, lambda: fired.append("u2"), priority=URGENT)
+    doomed = []
+
+    def proc(tag):
+        fired.append(tag)
+        yield sim.timeout(0)
+
+    def spawn():
+        fired.append("spawn")
+        sim.process(proc("u1"))
+        sim.process(proc("u2"))
+        assert len(sim._heap) == 3          # both kicks plus n3
+        for h in doomed:
+            h.cancel()                      # forces a compaction sweep
+        assert sim._dead < Simulator.COMPACT_MIN
+
+    sim.call_at(t, lambda: fired.append("n1"))
+    sim.call_at(t, spawn)
+    sim.call_at(t, lambda: fired.append("n2"))
+    sim.call_at(t + 1, lambda: fired.append("late"))
+    doomed.extend(sim.call_at(t + 1 + i, lambda: fired.append("dead"))
+                  for i in range(1, 301))
+    sim.call_at(t, lambda: fired.append("n3"))      # out of order: heap
     sim.run()
-    # Priority groups first; registration (seq) order within each group.
-    assert fired == ["u1", "u2", "n1", "n2", "l1"]
+    assert fired == ["n1", "spawn", "u1", "u2", "n2", "n3", "late"]
 
 
 def test_compaction_during_horizon_run_keeps_boundary_entry():
@@ -102,42 +118,6 @@ def test_compaction_during_horizon_run_keeps_boundary_entry():
     assert sim.now == 1 * SECOND
     sim.run()
     assert fired == ["trigger", "beyond"]
-
-
-def test_remove_callback_during_dispatch_is_noop_for_current_event():
-    # _process detaches the callback list before running it, so removing
-    # a later callback from inside an earlier one does NOT suppress it —
-    # the event's callbacks for this dispatch are already fixed.
-    sim = Simulator()
-    fired = []
-    ev = Event(sim)
-
-    def second(_e):
-        fired.append("second")
-
-    def first(_e):
-        fired.append("first")
-        ev.remove_callback(second)          # no-op: dispatch already fixed
-
-    ev.add_callback(first)
-    ev.add_callback(second)
-    ev.succeed()
-    sim.run()
-    assert fired == ["first", "second"]
-    # After processing, further removals are a silent no-op too.
-    ev.remove_callback(second)
-
-
-def test_remove_callback_before_trigger_suppresses():
-    sim = Simulator()
-    fired = []
-    ev = Event(sim)
-    cb = lambda _e: fired.append("cb")      # noqa: E731
-    ev.add_callback(cb)
-    ev.remove_callback(cb)
-    ev.succeed()
-    sim.run()
-    assert fired == []
 
 
 def test_two_lane_merge_pops_global_time_order():
@@ -193,4 +173,4 @@ def test_schedule_fn_cannot_schedule_in_past_from_either_lane():
     with pytest.raises(SimulationError):
         sim.schedule_fn(50, lambda: None)
     with pytest.raises(SimulationError):
-        sim.schedule_call(50, lambda: None)
+        sim.call_at(50, lambda: None)

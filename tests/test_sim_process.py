@@ -1,9 +1,9 @@
-"""Unit tests for processes, interrupts, and composite conditions."""
+"""Unit tests for processes and the AllOf composite event."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import AllOf, AnyOf, Interrupt, Simulator
+from repro.sim import Simulator
 
 
 def test_process_runs_and_returns_value():
@@ -108,53 +108,6 @@ def test_process_waiting_on_process():
     assert sim.run(until=proc) == 14
 
 
-def test_interrupt_wakes_sleeping_process():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(10_000)
-        except Interrupt as intr:
-            log.append((sim.now, intr.cause))
-
-    proc = sim.process(sleeper())
-    sim.call_in(100, lambda: proc.interrupt("wake"))
-    sim.run()
-    assert log == [(100, "wake")]
-
-
-def test_interrupted_event_is_ignored_when_it_fires_later():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(1_000)
-        except Interrupt:
-            log.append("interrupted")
-        yield sim.timeout(5_000)
-        log.append("second sleep done")
-
-    proc = sim.process(sleeper())
-    sim.call_in(100, lambda: proc.interrupt())
-    sim.run()
-    assert log == ["interrupted", "second sleep done"]
-    assert sim.now == 5_100
-
-
-def test_interrupting_dead_process_rejected():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(1)
-
-    proc = sim.process(quick())
-    sim.run()
-    with pytest.raises(SimulationError):
-        proc.interrupt()
-
-
 def test_yielding_non_event_fails_process():
     sim = Simulator()
 
@@ -164,19 +117,6 @@ def test_yielding_non_event_fails_process():
     proc = sim.process(bad())
     with pytest.raises(SimulationError):
         sim.run(until=proc)
-
-
-def test_any_of_fires_on_first():
-    sim = Simulator()
-
-    def worker():
-        result = yield sim.any_of([sim.timeout(300), sim.timeout(100, "fast")])
-        return sorted(result.values(), key=str)
-
-    proc = sim.process(worker())
-    values = sim.run(until=proc)
-    assert values == ["fast"]
-    assert sim.now == 100
 
 
 def test_all_of_waits_for_every_event():
@@ -200,3 +140,22 @@ def test_empty_all_of_fires_immediately():
 
     proc = sim.process(worker())
     assert sim.run(until=proc) == 0
+
+
+def test_all_of_fails_on_first_failure_and_defuses_later_ones():
+    sim = Simulator()
+    first, second = sim.event(), sim.event()
+    outcome = []
+
+    def worker():
+        try:
+            yield sim.all_of([first, second, sim.timeout(500)])
+        except RuntimeError as exc:
+            outcome.append((sim.now, str(exc)))
+
+    sim.process(worker())
+    sim.call_in(100, lambda: first.fail(RuntimeError("first")))
+    sim.call_in(200, lambda: second.fail(RuntimeError("second")))
+    sim.run()                   # the later failure must not raise here
+    assert outcome == [(100, "first")]
+    assert second.processed and not second.ok

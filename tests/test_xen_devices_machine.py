@@ -8,7 +8,8 @@ from repro.errors import CheckpointError
 from repro.guest import GuestKernel
 from repro.hw import Machine, MachineSpec
 from repro.net import Interface, Link
-from repro.sim import Simulator, Tracer
+from repro.obs.trace import Tracer
+from repro.sim import Simulator
 from repro.units import GB, MS, SECOND
 from repro.xen import Hypervisor, VirtualNIC
 
