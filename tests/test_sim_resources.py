@@ -1,210 +1,11 @@
-"""Unit tests for resources, stores, containers, RNG streams, and tracing."""
+"""Unit tests for the tracer as the simulator's clock drives it."""
 
 import pytest
 
-from repro.errors import ResourceError
-from repro.sim import (Container, RandomStreams, Resource, Simulator, Store,
-                       Tracer, maybe_record)
+from repro.obs import Tracer, maybe_record
+from repro.sim import Simulator
 from repro.units import MS
 
-
-# ------------------------------------------------------------------ Resource
-
-def test_resource_grants_up_to_capacity():
-    sim = Simulator()
-    res = Resource(sim, capacity=2)
-    a, b, c = res.request(), res.request(), res.request()
-    sim.run(until=10)
-    assert a.processed and b.processed
-    assert not c.triggered
-    assert res.count == 2 and res.queued == 1
-    res.release(a)
-    sim.run(until=20)
-    assert c.processed
-
-
-def test_resource_priority_order():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    first = res.request()
-    low = res.request(priority=5)
-    high = res.request(priority=1)
-    res.release(first)
-    sim.run(until=10)
-    assert high.processed
-    assert not low.triggered
-
-
-def test_resource_double_release_rejected():
-    sim = Simulator()
-    res = Resource(sim)
-    req = res.request()
-    res.release(req)
-    with pytest.raises(ResourceError):
-        res.release(req)
-
-
-def test_resource_cancel_pending_request():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    held = res.request()
-    waiting = res.request()
-    res.cancel(waiting)
-    res.release(held)
-    sim.run(until=10)
-    assert not waiting.triggered
-    assert res.count == 0
-
-
-def test_resource_capacity_validation():
-    with pytest.raises(ResourceError):
-        Resource(Simulator(), capacity=0)
-
-
-def test_resource_usage_from_processes():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    order = []
-
-    def worker(tag, hold_ns):
-        req = res.request()
-        yield req
-        order.append(("acquire", tag, sim.now))
-        yield sim.timeout(hold_ns)
-        res.release(req)
-        order.append(("release", tag, sim.now))
-
-    sim.process(worker("a", 100))
-    sim.process(worker("b", 50))
-    sim.run()
-    assert order == [("acquire", "a", 0), ("release", "a", 100),
-                     ("acquire", "b", 100), ("release", "b", 150)]
-
-
-# ------------------------------------------------------------------ Store
-
-def test_store_fifo_put_get():
-    sim = Simulator()
-    store = Store(sim)
-    store.put("x")
-    store.put("y")
-    got = store.get()
-    sim.run(until=1)
-    assert got.value == "x"
-    assert store.items == ("y",)
-    assert len(store) == 1
-
-
-def test_store_get_blocks_until_put():
-    sim = Simulator()
-    store = Store(sim)
-    got = store.get()
-    assert not got.triggered
-    store.put(42)
-    sim.run(until=1)
-    assert got.value == 42
-
-
-def test_store_capacity_blocks_put():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    first = store.put("a")
-    second = store.put("b")
-    assert first.triggered
-    assert not second.triggered
-    ok, item = store.try_get()
-    assert ok and item == "a"
-    assert second.triggered            # room freed, pending put completed
-
-
-def test_store_try_get_empty():
-    sim = Simulator()
-    store = Store(sim)
-    ok, item = store.try_get()
-    assert not ok and item is None
-
-
-def test_store_capacity_validation():
-    with pytest.raises(ResourceError):
-        Store(Simulator(), capacity=0)
-
-
-# ------------------------------------------------------------------ Container
-
-def test_container_put_get_levels():
-    sim = Simulator()
-    tank = Container(sim, capacity=100, init=10)
-    tank.put(40)
-    assert tank.level == 50
-    got = tank.get(50)
-    assert got.triggered
-    assert tank.level == 0
-
-
-def test_container_get_blocks_until_enough():
-    sim = Simulator()
-    tank = Container(sim, capacity=100)
-    got = tank.get(30)
-    assert not got.triggered
-    tank.put(20)
-    assert not got.triggered
-    tank.put(15)
-    assert got.triggered
-    assert tank.level == 5
-
-
-def test_container_put_blocks_at_capacity():
-    sim = Simulator()
-    tank = Container(sim, capacity=10, init=8)
-    blocked = tank.put(5)
-    assert not blocked.triggered
-    tank.get(4)
-    assert blocked.triggered
-    assert tank.level == 9
-
-
-def test_container_validation():
-    with pytest.raises(ResourceError):
-        Container(Simulator(), capacity=5, init=10)
-    tank = Container(Simulator())
-    with pytest.raises(ResourceError):
-        tank.put(-1)
-    with pytest.raises(ResourceError):
-        tank.get(-1)
-
-
-# ------------------------------------------------------------------ RNG streams
-
-def test_named_streams_are_deterministic_and_independent():
-    a = RandomStreams(7)
-    b = RandomStreams(7)
-    assert [a.stream("x").random() for _ in range(5)] == \
-        [b.stream("x").random() for _ in range(5)]
-    # Different names give different sequences.
-    assert a.stream("y").random() != b.stream("x").random()
-
-
-def test_stream_instance_is_cached():
-    streams = RandomStreams(1)
-    assert streams.stream("n") is streams.stream("n")
-
-
-def test_adding_consumers_does_not_perturb_existing_streams():
-    a = RandomStreams(3)
-    first = a.stream("alpha").random()
-    b = RandomStreams(3)
-    b.stream("zzz")                      # extra consumer created first
-    assert b.stream("alpha").random() == first
-
-
-def test_fork_derives_reproducible_children():
-    a = RandomStreams(9).fork("child")
-    b = RandomStreams(9).fork("child")
-    assert a.stream("s").random() == b.stream("s").random()
-    assert a.seed != 9
-
-
-# ------------------------------------------------------------------ tracing
 
 def test_tracer_records_and_selects():
     sim = Simulator()
